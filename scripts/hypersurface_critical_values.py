@@ -22,8 +22,9 @@ def main():
         order = n + 2 - d
         expected = [(order * d ** (d / order)) * cmath.exp(2j * cmath.pi * k / order)
                     for k in range(order)]
-        found = critical_values(f, opts)
-        points = critical_points(f, opts).points
+        search = critical_points(f, opts)
+        found = critical_values(f, opts, search=search)
+        points = search.points
         print(f"(n, d) = ({n}, {d}):  {f}")
         for value, mult in found.values:
             deviation = min(abs(value - e) for e in expected)

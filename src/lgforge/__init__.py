@@ -91,6 +91,7 @@ from .periods import (
     ingest_reference,
     is_weak_lg,
     period_sequence,
+    power_coefficient,
     resolve_workers,
 )
 

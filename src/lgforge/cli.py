@@ -72,6 +72,12 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _require_spec(args) -> dict:
+    if not args.spec:
+        raise ValueError("--spec is required")
+    return _load_json(args.spec)
+
+
 def _resolve_expr_inputs(args) -> tuple[str, list[str], dict]:
     """Return (expr, vars, raw-inputs-for-hashing); --spec wins with a warning."""
     spec_data = None
@@ -125,7 +131,7 @@ def _cmd_period(args):
 
 
 def _cmd_cover(args):
-    data = _load_json(args.spec)
+    data = _require_spec(args)
     if args.expr or args.vars:
         print("warning: --spec overrides --expr/--vars", file=sys.stderr)
     spec, basis, qvars = cover_spec_from_dict(data)
@@ -236,6 +242,8 @@ def _cmd_tangency(args):
         smooth = bool(data.get("smooth", False))
         raw = data
     else:
+        if args.boundary is None:
+            raise ValueError("the boundary class --boundary is required")
         expr, varnames, raw = _resolve_expr_inputs(args)
         r = args.degree
         boundary = [int(b) for b in _split_csv(args.boundary)]
@@ -308,7 +316,7 @@ def _cmd_check_weak_lg(args):
 
 
 def _cmd_ledger(args):
-    data = _load_json(args.spec)
+    data = _require_spec(args)
     classes = [
         DiscClass(
             half_maslov=int(c["half_maslov"]),
@@ -398,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("period", help="constant terms of powers")
     common(p)
     p.add_argument("-K", "--max-power", type=int, required=True)
-    p.add_argument("--strategy", choices=("incremental", "split"), default="incremental")
+    p.add_argument("--strategy", choices=("incremental", "split"), default="incremental",
+                   help="accepted and validated for compatibility; has no effect, "
+                        "results never depend on it")
 
     p = sub.add_parser("cover", help="run one cyclic cover step from a spec file")
     common(p, spec_help="cover spec JSON (potential, vars, functional, r, descendant)")

@@ -32,7 +32,7 @@ from .errors import (
 from .lattice import CharacterAction, Sublattice, invariant_sublattice, \
     rewrite_in_sublattice, solve_character
 from .laurent import Exponent, LaurentPoly
-from .periods import DescendantConstant
+from .periods import DescendantConstant, power_coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +187,10 @@ def tangency_number(potential: LaurentPoly, r: int, boundary: Sequence[int], *,
     boundary = tuple(int(x) for x in boundary)
     if descendant is not None and descendant.r != r:
         raise ValueError(f"descendant degree {descendant.r} does not match r={r}")
-    desc_value = descendant.value if descendant is not None else Fraction(0)
-    spherical = all(x == 0 for x in boundary)
-    coeff = (potential ** r).coefficient(boundary)
-    if spherical:
-        coeff -= desc_value
-    if smooth:
-        value = coeff
-    else:
+    if r < 0:  # ahead of the multiplicity checks, so a bad r stays a ValueError
+        raise ValueError(f"exponent must be a nonnegative integer, got {r!r}")
+    factor = Fraction(1)
+    if not smooth:
         if multiplicities is None:
             raise MultiplicityError("snc mode requires intersection multiplicities")
         mults = [int(m) for m in multiplicities]
@@ -203,10 +199,13 @@ def tangency_number(potential: LaurentPoly, r: int, boundary: Sequence[int], *,
         if sum(mults) != r:
             raise MultiplicityError(
                 f"multiplicities sum to {sum(mults)}, expected the cover degree {r}")
-        factor = Fraction(1)
         for m in mults:
             factor *= factorial(m)
-        value = coeff * factor / factorial(r)
+        factor /= factorial(r)
+    coeff = power_coefficient(potential, r, boundary)
+    if all(x == 0 for x in boundary) and descendant is not None:
+        coeff -= descendant.value
+    value = coeff * factor
     return TangencyNumber(value, value.denominator == 1)
 
 

@@ -209,8 +209,10 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        # Iterated multiplication, not binary powering: the period engine
-        # consumes every intermediate power, so nothing is wasted.
+        # Iterated multiplication, not binary powering: for sparse operands,
+        # multiplying by the short factor ``self`` is usually cheaper than
+        # squaring a long intermediate.  Period sequences and tangency
+        # coefficients do not come through here; ``periods`` has its own kernel.
         acc = LaurentPoly.constant(self.rank, 1, self.varnames)
         for _ in range(k):
             acc = acc * self

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
-from .errors import ReferenceFormatError, SequenceRangeError
-from .laurent import LaurentPoly, evec_neg
+from .errors import RankMismatchError, ReferenceFormatError, SequenceRangeError
+from .laurent import LaurentPoly
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -74,44 +74,95 @@ class DescendantConstant:
         object.__setattr__(self, "value", Fraction(self.value))
 
 
+def _half_powers(f: LaurentPoly, h: int, pad: Sequence[int]
+                 ) -> tuple[list[dict[int, int]], int, Callable[[Sequence[int]], int]]:
+    """Powers g**0..g**h of the integral form g = D*f, on packed exponent keys.
+
+    Returns ``(powers, D, pack)``.  ``pack`` sends an exponent vector e to
+    sum(e_i * R_i) with R_0 = 1 and R_(i+1) = R_i * (2*B_i + 1), where
+    B_i = h * max|e_i| over the support of f, plus |pad_i|.  The map is linear
+    and injective on the box |e_i| <= B_i.  That box holds every exponent a
+    of g**0..g**h, and pad - a too, so sums, negations and differences of
+    exponents become sums, negations and differences of int keys.
+    """
+    terms = f.terms
+    denom = lcm(*(c.denominator for c in terms.values()))
+    radices = []
+    radix = 1
+    for i, extra in enumerate(pad):
+        radices.append(radix)
+        bound = h * max((abs(e[i]) for e in terms), default=0) + abs(extra)
+        radix *= 2 * bound + 1
+
+    def pack(e: Sequence[int]) -> int:
+        return sum(x * r for x, r in zip(e, radices))
+
+    g = {pack(e): c.numerator * (denom // c.denominator) for e, c in terms.items()}
+    powers = [{0: 1}]
+    for _ in range(h):
+        prev = powers[-1]
+        out: dict[int, int] = {}
+        get = out.get
+        for kg, cg in g.items():
+            for kp, cp in prev.items():
+                k = kp + kg
+                out[k] = get(k, 0) + cp * cg
+        powers.append({k: c for k, c in out.items() if c})
+    return powers, denom, pack
+
+
+def _pair(hi: dict[int, int], lo: dict[int, int], target: int) -> int:
+    """sum over keys a of hi[a] * lo[target - a], iterating over the smaller dict."""
+    small, big = (lo, hi) if len(lo) <= len(hi) else (hi, lo)
+    get = big.get
+    return sum(c * get(target - a, 0) for a, c in small.items())
+
+
 def period_sequence(f: LaurentPoly, up_to: int, *, name: str = "",
                     strategy: str = "incremental",
                     workers: int | None = None) -> PeriodSequence:
-    """Constant terms of f**k for k = 0..up_to.
+    """Constant terms of f**k for k = 0..up_to, exactly.
 
-    ``incremental`` keeps only the previous power; ``split`` computes powers
-    up to ceil(up_to/2) and pairs them, halving the largest power needed, and
-    may fan the pairings out over a thread pool.  Both strategies are exact,
-    so they agree bit for bit.
+    One kernel: write f = g/D with g integral, build g**0..g**h for
+    h = ceil(up_to/2) on packed int exponent keys, and read
+    c_0(g**k) = sum_a g**ceil(k/2)[a] * g**floor(k/2)[-a]; then
+    c_k = c_0(g**k) / D**k.  ``strategy`` ("incremental" or "split") and
+    ``workers`` are accepted and validated for compatibility but select
+    nothing: every caller gets the same kernel and the same exact result.
     """
     if up_to < 0:
         raise ValueError("up_to must be nonnegative")
-    if strategy == "incremental":
-        coeffs = [p.constant_term() for p in f.powers(up_to)]
-    elif strategy == "split":
-        half = (up_to + 1) // 2
-        powers = list(f.powers(half))
-
-        def pair(k: int) -> Fraction:
-            hi = powers[(k + 1) // 2]
-            lo = powers[k // 2]
-            total = Fraction(0)
-            for e, c in hi.terms.items():
-                other = lo.coefficient(evec_neg(e))
-                if other:
-                    total += c * other
-            return total
-
-        n_workers = resolve_workers(workers)
-        ks = range(up_to + 1)
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                coeffs = list(pool.map(pair, ks))
-        else:
-            coeffs = [pair(k) for k in ks]
-    else:
+    if strategy not in ("incremental", "split"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "split":
+        resolve_workers(workers)  # only the split strategy ever read the worker count
+    powers, denom, _ = _half_powers(f, (up_to + 1) // 2, (0,) * f.rank)
+    coeffs = []
+    scale = 1
+    for k in range(up_to + 1):
+        coeffs.append(Fraction(_pair(powers[(k + 1) // 2], powers[k // 2], 0), scale))
+        scale *= denom
     return PeriodSequence(name or "computed", tuple(coeffs), "computed")
+
+
+def power_coefficient(f: LaurentPoly, r: int, t: Sequence[int]) -> Fraction:
+    """The coefficient of x**t in f**r, exactly, without building f**r.
+
+    Pairs g**ceil(r/2) with g**floor(r/2) at t - a (see ``period_sequence``),
+    and returns 0 at once when t lies outside r times the bounding box of the
+    support of f.
+    """
+    if not isinstance(r, int) or r < 0:
+        raise ValueError(f"exponent must be a nonnegative integer, got {r!r}")
+    t = tuple(t)
+    if len(t) != f.rank:
+        raise RankMismatchError(f"exponent length {len(t)} for rank {f.rank}")
+    support = f.terms
+    if support and any(not r * min(e[i] for e in support) <= x <= r * max(e[i] for e in support)
+                       for i, x in enumerate(t)):
+        return Fraction(0)
+    powers, denom, pack = _half_powers(f, (r + 1) // 2, t)
+    return Fraction(_pair(powers[(r + 1) // 2], powers[r // 2], pack(t)), denom ** r)
 
 
 def descendant_constant(p: PeriodSequence, r: int) -> DescendantConstant:

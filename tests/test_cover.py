@@ -218,6 +218,19 @@ def test_tangency_multiplicity_sum_checked():
         tangency_number(p2_potential(), 3, (1, 2), multiplicities=(1, 1, 2))
 
 
+@pytest.mark.parametrize("mults", [None, (1, -1, 3), (1, 1, 2)],
+                         ids=["missing", "negative", "wrong-sum"])
+def test_tangency_validates_multiplicities_before_computing(mults, monkeypatch):
+    import lgforge.cover as cover
+
+    def unreachable(*args):
+        raise AssertionError("power coefficient computed before validation")
+
+    monkeypatch.setattr(cover, "power_coefficient", unreachable)
+    with pytest.raises(MultiplicityError):
+        tangency_number(p2_potential(), 3, (1, 2), multiplicities=mults)
+
+
 def test_tangency_snc_with_single_component_matches_smooth():
     rng = random.Random(9)
     for _ in range(20):
