@@ -79,7 +79,6 @@ from .mutation import (
     apply_substitution,
     check_period_invariance,
     identity_substitution,
-    load_substitution,
     substitution_from_dict,
 )
 from .parsing import parse, parse_poly
@@ -92,7 +91,6 @@ from .periods import (
     is_weak_lg,
     period_sequence,
     power_coefficient,
-    resolve_workers,
 )
 
 __version__ = "0.1.0"

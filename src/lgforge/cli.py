@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -32,11 +33,10 @@ from .critical import SolverOptions, critical_points, critical_values
 from .errors import ExprSyntaxError, LGForgeError, ReferenceFormatError
 from .lattice import CharacterAction, Sublattice, invariant_sublattice, rewrite_in_sublattice
 from .mutation import apply_substitution, check_period_invariance, substitution_from_dict
-from .parsing import parse_poly
+from .parsing import parse_poly, spec_field, spec_fraction, spec_list, spec_object
 from .periods import DescendantConstant, ingest_reference, is_weak_lg, period_sequence
 
-_USAGE_ERRORS = (ExprSyntaxError, ReferenceFormatError, FileNotFoundError,
-                 json.JSONDecodeError, KeyError, ValueError)
+_USAGE_ERRORS = (ExprSyntaxError, ReferenceFormatError, OSError, ValueError)
 
 
 def _frac_json(c: Fraction):
@@ -63,35 +63,48 @@ def _read_expr(value: str) -> str:
     return sys.stdin.read() if value == "-" else value
 
 
+def _int_csv(text: str) -> list[int]:
+    return [int(x) for x in _split_csv(text)]
+
+
 def _matrix_arg(text: str) -> list[list[int]]:
-    return [[int(x) for x in _split_csv(row)] for row in text.split(";")]
+    return [_int_csv(row) for row in text.split(";")]
 
 
-def _load_json(path: str) -> dict:
+def _json_object(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
-def _require_spec(args) -> dict:
+def _spec(args, required: bool = False) -> dict | None:
+    """The --spec file's JSON object, or None without --spec (an error if required).
+
+    Every spec file is read here, so this is the one place that warns when
+    --spec overrides --expr/--vars.
+    """
     if not args.spec:
-        raise ValueError("--spec is required")
-    return _load_json(args.spec)
+        if required:
+            raise ValueError("--spec is required")
+        return None
+    data = _json_object(args.spec)
+    if args.expr or args.vars:
+        print("warning: --spec overrides --expr/--vars", file=sys.stderr)
+    return data
 
 
-def _resolve_expr_inputs(args) -> tuple[str, list[str], dict]:
-    """Return (expr, vars, raw-inputs-for-hashing); --spec wins with a warning."""
-    spec_data = None
-    if getattr(args, "spec", None):
-        spec_data = _load_json(args.spec)
-        if args.expr or args.vars:
-            print("warning: --spec overrides --expr/--vars", file=sys.stderr)
-        expr = str(spec_data["expr"])
-        varnames = [str(v) for v in spec_data["vars"]]
-    else:
+def _expr_inputs(args) -> tuple[str, list[str], dict]:
+    """Return (expr, vars, raw-inputs-for-hashing) from --spec or --expr/--vars."""
+    data = _spec(args)
+    if data is None:
         if not args.expr or not args.vars:
             raise ValueError("provide --expr and --vars, or --spec")
-        expr = _read_expr(args.expr)
-        varnames = _split_csv(args.vars)
+        expr, varnames = _read_expr(args.expr), _split_csv(args.vars)
+    else:
+        expr = spec_field(data, "expr", str, args.spec)
+        varnames = spec_field(data, "vars", spec_list(str), args.spec)
     return expr, varnames, {"expr": expr, "vars": varnames}
 
 
@@ -109,7 +122,7 @@ def _provenance(command: str, inputs: dict, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args):
-    expr, varnames, raw = _resolve_expr_inputs(args)
+    expr, varnames, raw = _expr_inputs(args)
     point = [complex(p) for p in _split_csv(args.point)]
     raw["point"] = [str(p) for p in point]
     f = parse_poly(expr, varnames)
@@ -120,10 +133,12 @@ def _cmd_eval(args):
 
 
 def _cmd_period(args):
-    expr, varnames, raw = _resolve_expr_inputs(args)
-    raw.update({"K": args.max_power, "strategy": args.strategy})
+    expr, varnames, raw = _expr_inputs(args)
+    # "strategy" stays in the hashed inputs so that period provenance hashes
+    # are the same as those of releases that had a --strategy flag.
+    raw.update({"K": args.max_power, "strategy": "incremental"})
     f = parse_poly(expr, varnames)
-    seq = period_sequence(f, args.max_power, strategy=args.strategy)
+    seq = period_sequence(f, args.max_power)
     result = {"coeffs": [_frac_json(c) for c in seq.coeffs], "max_power": seq.max_power}
     lines = ["k    c_k", "-" * 24]
     lines += [f"{k:<4d} {_frac_text(c)}" for k, c in enumerate(seq.coeffs)]
@@ -131,9 +146,7 @@ def _cmd_period(args):
 
 
 def _cmd_cover(args):
-    data = _require_spec(args)
-    if args.expr or args.vars:
-        print("warning: --spec overrides --expr/--vars", file=sys.stderr)
+    data = _spec(args, required=True)
     spec, basis, qvars = cover_spec_from_dict(data)
     res = build_cover_potential(spec, basis=basis, quotient_varnames=qvars)
     result = {
@@ -154,8 +167,8 @@ def _cmd_cover(args):
 
 
 def _cmd_quotient(args):
-    expr, varnames, raw = _resolve_expr_inputs(args)
-    weights = [int(w) for w in _split_csv(args.weights)]
+    expr, varnames, raw = _expr_inputs(args)
+    weights = _int_csv(args.weights)
     raw.update({"weights": weights, "r": args.modulus})
     f = parse_poly(expr, varnames)
     action = CharacterAction(tuple(weights), args.modulus)
@@ -182,7 +195,13 @@ def _cmd_quotient(args):
 
 
 def _cmd_crit(args):
-    expr, varnames, raw = _resolve_expr_inputs(args)
+    expr, varnames, raw = _expr_inputs(args)
+    if args.starts < 1:
+        raise ValueError("--starts must be at least 1")
+    if args.max_iter < 1:
+        raise ValueError("--max-iter must be at least 1")
+    if not 0 < args.tol < math.inf:  # also rejects nan
+        raise ValueError("--tol must be a finite number > 0")
     opts = SolverOptions(starts=args.starts, tol=args.tol, seed=args.seed,
                          max_iter=args.max_iter)
     raw.update({"starts": opts.starts, "tol": opts.tol, "max_iter": opts.max_iter})
@@ -217,8 +236,8 @@ def _cmd_crit(args):
 
 
 def _cmd_mutate(args):
-    expr, varnames, raw = _resolve_expr_inputs(args)
-    sub_data = _load_json(args.sub)
+    expr, varnames, raw = _expr_inputs(args)
+    sub_data = _json_object(args.sub)
     raw["substitution"] = sub_data
     f = parse_poly(expr, varnames)
     sub = substitution_from_dict(sub_data)
@@ -229,47 +248,36 @@ def _cmd_mutate(args):
 
 
 def _cmd_tangency(args):
-    if args.spec:
-        data = _load_json(args.spec)
-        if args.expr or args.vars:
-            print("warning: --spec overrides --expr/--vars", file=sys.stderr)
-        expr = str(data["potential"])
-        varnames = [str(v) for v in data["vars"]]
-        r = int(data["r"])
-        boundary = [int(b) for b in data["boundary"]]
-        mults = data.get("multiplicities")
-        desc = data.get("descendant")
-        smooth = bool(data.get("smooth", False))
-        raw = data
-    else:
+    data, where = _spec(args), args.spec
+    if data is None:  # the flags, as the object a spec file holds (the potential as "expr")
         if args.boundary is None:
             raise ValueError("the boundary class --boundary is required")
-        expr, varnames, raw = _resolve_expr_inputs(args)
-        r = args.degree
-        boundary = [int(b) for b in _split_csv(args.boundary)]
-        mults = [int(m) for m in _split_csv(args.multiplicities)] if args.multiplicities else None
-        desc = args.descendant
-        smooth = args.smooth
-        raw.update({"r": r, "boundary": boundary, "multiplicities": mults,
-                    "descendant": desc, "smooth": smooth})
-    if r is None:
-        raise ValueError("the cover degree -r is required")
+        _, _, data = _expr_inputs(args)
+        if args.degree is None:
+            raise ValueError("the cover degree -r is required")
+        data.update(r=args.degree, boundary=_int_csv(args.boundary),
+                    multiplicities=_int_csv(args.multiplicities) if args.multiplicities else None,
+                    descendant=args.descendant, smooth=args.smooth)
+        where = "command line"
+    expr = spec_field(data, "potential" if args.spec else "expr", str, where)
+    varnames = spec_field(data, "vars", spec_list(str), where)
+    r = spec_field(data, "r", int, where)
+    boundary = spec_field(data, "boundary", spec_list(int), where)
+    mults = spec_field(data, "multiplicities", spec_list(int), where, None)
+    desc = spec_field(data, "descendant", spec_fraction, where, None)
+    smooth = spec_field(data, "smooth", bool, where, False)
     potential = parse_poly(expr, varnames)
-    descendant = None
-    if desc is not None:
-        descendant = DescendantConstant(r, Fraction(str(desc)))
-    mults_list = [int(m) for m in mults] if mults is not None else None
+    descendant = None if desc is None else DescendantConstant(r, desc)
     tau: TangencyNumber = tangency_number(
-        potential, r, boundary,
-        multiplicities=mults_list, descendant=descendant, smooth=smooth)
+        potential, r, boundary, multiplicities=mults, descendant=descendant, smooth=smooth)
     result = {"integral": tau.integral, "tau": _frac_json(tau.value)}
     lines = [f"tau = {_frac_text(tau.value)}"
              + ("" if tau.integral else "   WARNING: non-integral (inconsistent inputs?)")]
-    return result, lines, raw
+    return result, lines, data
 
 
 def _cmd_compare(args):
-    expr, varnames, raw = _resolve_expr_inputs(args)
+    expr, varnames, raw = _expr_inputs(args)
     expr2 = _read_expr(args.expr2)
     raw.update({"expr2": expr2, "K": args.max_power})
     f = parse_poly(expr, varnames)
@@ -291,7 +299,7 @@ def _cmd_compare(args):
 
 
 def _cmd_check_weak_lg(args):
-    expr, varnames, raw = _resolve_expr_inputs(args)
+    expr, varnames, raw = _expr_inputs(args)
     reference = ingest_reference(args.reference)
     raw.update({"reference": [_frac_json(c) for c in reference.coeffs],
                 "K": args.max_power, "k_min": args.k_min})
@@ -316,22 +324,24 @@ def _cmd_check_weak_lg(args):
 
 
 def _cmd_ledger(args):
-    data = _require_spec(args)
-    classes = [
-        DiscClass(
-            half_maslov=int(c["half_maslov"]),
-            divisor_hits=tuple(int(h) for h in c.get("divisor_hits", ())),
-            boundary=tuple(int(b) for b in c.get("boundary", ())),
-            area=Fraction(str(c.get("area", 1))),
-        )
-        for c in data.get("classes", [])
-    ]
-    checks = data.get("checks", {})
+    data, where = _spec(args, required=True), args.spec
+    classes = []
+    for i, c in enumerate(spec_field(data, "classes", spec_list(spec_object), where, [])):
+        at = f"{where}: classes[{i}]"
+        classes.append(DiscClass(
+            half_maslov=spec_field(c, "half_maslov", int, at),
+            divisor_hits=spec_field(c, "divisor_hits", spec_list(int), at, ()),
+            boundary=spec_field(c, "boundary", spec_list(int), at, ()),
+            area=spec_field(c, "area", spec_fraction, at, Fraction(1)),
+        ))
+    checks = spec_field(data, "checks", spec_object, where, {})
+    at = f"{where}: checks"
     result: dict = {}
     lines: list[str] = []
     if "maslov_positive" in checks:
         opts = checks["maslov_positive"]
-        hits_index = opts.get("hits_index") if isinstance(opts, dict) else None
+        hits_index = (spec_field(opts, "hits_index", spec_list(int), f"{at}.maslov_positive", None)
+                      if isinstance(opts, dict) else None)
         report = maslov_positive(classes, hits_index)
         result["maslov_positive"] = {
             "passed": report.passed,
@@ -351,9 +361,9 @@ def _cmd_ledger(args):
         else:
             lines.append("not monotone (no single area/Maslov ratio)")
     if "riemann_hurwitz" in checks:
-        opts = checks["riemann_hurwitz"]
-        r = int(opts["r"])
-        hits_index = opts.get("hits_index")
+        opts = spec_field(checks, "riemann_hurwitz", spec_object, at)
+        r = spec_field(opts, "r", int, f"{at}.riemann_hurwitz")
+        hits_index = spec_field(opts, "hits_index", spec_list(int), f"{at}.riemann_hurwitz", None)
         rows = []
         for disc in classes:
             lift = riemann_hurwitz_lift(disc.half_maslov, disc.hits(hits_index), r)
@@ -363,8 +373,9 @@ def _cmd_ledger(args):
                          f" ({'lifts' if lift.liftable else 'no integral lift'})")
         result["riemann_hurwitz"] = {"r": r, "rows": rows}
     if "connected" in checks:
-        opts = checks["connected"]
-        flag = cover_connected([int(v) for v in opts["d_values"]], int(opts["r"]))
+        opts = spec_field(checks, "connected", spec_object, at)
+        flag = cover_connected(spec_field(opts, "d_values", spec_list(int), f"{at}.connected"),
+                               spec_field(opts, "r", int, f"{at}.connected"))
         result["connected"] = flag
         lines.append(f"pre-image connected: {'yes' if flag else 'no'}")
     return result, lines, data
@@ -406,9 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("period", help="constant terms of powers")
     common(p)
     p.add_argument("-K", "--max-power", type=int, required=True)
-    p.add_argument("--strategy", choices=("incremental", "split"), default="incremental",
-                   help="accepted and validated for compatibility; has no effect, "
-                        "results never depend on it")
 
     p = sub.add_parser("cover", help="run one cyclic cover step from a spec file")
     common(p, spec_help="cover spec JSON (potential, vars, functional, r, descendant)")
@@ -476,13 +484,13 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         result, lines, raw_inputs = handler(args)
+        _emit(args.command, result, lines, raw_inputs, args)
     except _USAGE_ERRORS as exc:
         print(f"lgforge: {exc}", file=sys.stderr)
         return 2
     except LGForgeError as exc:
         print(f"lgforge: {exc}", file=sys.stderr)
         return 1
-    _emit(args.command, result, lines, raw_inputs, args)
     return 0
 
 

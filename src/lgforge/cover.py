@@ -148,15 +148,11 @@ def build_cover_potential(spec: CoverSpec, *,
     lattice = invariant_sublattice(action)
     if basis is not None:
         override = Sublattice.from_columns(basis)
-        if not invariant_lattice_matches(lattice, override):
+        if not lattice.same_lattice(override):
             raise ValueError("basis override does not span the invariant sublattice")
         lattice = override
     quotient = rewrite_in_sublattice(upstairs, lattice, varnames=quotient_varnames)
     return CoverResult(upstairs, action, quotient, lattice)
-
-
-def invariant_lattice_matches(canonical: Sublattice, override: Sublattice) -> bool:
-    return canonical.same_lattice(override)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +227,10 @@ class DiscClass:
     def hits(self, indices: Sequence[int] | None = None) -> int:
         if indices is None:
             return sum(self.divisor_hits)
+        for i in indices:
+            if not 0 <= i < len(self.divisor_hits):
+                raise DiscLedgerError(
+                    f"hits_index entry {i} is outside divisor_hits {list(self.divisor_hits)}")
         return sum(self.divisor_hits[i] for i in indices)
 
 
@@ -315,29 +315,24 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
          "r": 2, "descendant": "0",
          "basis": [[...], ...],          # optional, columns
          "quotient_vars": [...]}         # optional
-    """
-    from .parsing import parse_poly  # local import avoids a cycle
 
-    required = {"potential", "vars", "functional", "r", "descendant"}
-    missing = required - set(data)
-    if missing:
-        raise ValueError(f"cover spec is missing keys {sorted(missing)}")
-    varnames = [str(v) for v in data["vars"]]
-    potential = parse_poly(str(data["potential"]), varnames)
-    fun = data["functional"]
+    A missing or malformed key raises ValueError naming it.
+    """
+    from .parsing import parse_poly, spec_field, spec_fraction, spec_list, spec_object
+
+    where = "cover spec"
+    varnames = spec_field(data, "vars", spec_list(str), where)
+    potential = parse_poly(spec_field(data, "potential", str, where), varnames)
+    fun = spec_field(data, "functional", spec_object, where)
     functional = DivisorFunctional(
-        tuple(Fraction(str(a)) for a in fun["linear"]),
-        Fraction(str(fun["constant"])),
+        tuple(spec_field(fun, "linear", spec_list(spec_fraction), f"{where}: functional")),
+        spec_field(fun, "constant", spec_fraction, f"{where}: functional"),
     )
-    r = int(data["r"])
-    descendant = DescendantConstant(r, Fraction(str(data["descendant"])))
+    r = spec_field(data, "r", int, where)
+    descendant = DescendantConstant(r, spec_field(data, "descendant", spec_fraction, where))
     spec = CoverSpec(potential, functional, r, descendant)
-    basis = data.get("basis")
-    if basis is not None:
-        basis = [[int(x) for x in col] for col in basis]
-    qvars = data.get("quotient_vars")
-    if qvars is not None:
-        qvars = [str(v) for v in qvars]
+    basis = spec_field(data, "basis", spec_list(spec_list(int)), where, None)
+    qvars = spec_field(data, "quotient_vars", spec_list(str), where, None)
     return spec, basis, qvars
 
 

@@ -29,14 +29,6 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    if any(len(r) != inner for r in a):
-        raise RankMismatchError("matrix product dimension mismatch")
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     if any(len(r) != len(v) for r in a):
         raise RankMismatchError("matrix-vector dimension mismatch")
@@ -82,10 +74,6 @@ def adjugate(a: Sequence[Sequence[int]]) -> list[list[int]]:
             minor = [[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
             out[j][i] = (-1) ** (i + j) * det(minor)
     return out
-
-
-def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
-    return abs(det(a)) == 1
 
 
 def unimodular_inverse(a: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -296,7 +284,7 @@ class Sublattice:
     index: int
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], canonicalize: bool = False) -> "Sublattice":
+    def from_columns(cls, columns: Sequence[Sequence[int]]) -> "Sublattice":
         cols = [list(c) for c in columns]
         n = len(cols[0]) if cols else 0
         if len(cols) != n or any(len(c) != n for c in cols):
@@ -305,8 +293,6 @@ class Sublattice:
         d = det(matrix)
         if d == 0:
             raise ValueError("basis columns are linearly dependent")
-        if canonicalize:
-            matrix = hermite_column_basis(cols)
         return cls(n, matrix, abs(d))
 
     @classmethod

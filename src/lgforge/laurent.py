@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     EmptyPolynomialError,
@@ -123,9 +123,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
-    def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self._terms)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -217,14 +214,6 @@ class LaurentPoly:
         for _ in range(k):
             acc = acc * self
         return acc
-
-    def powers(self, up_to: int) -> Iterator["LaurentPoly"]:
-        """Yield self**0, self**1, ..., self**up_to."""
-        acc = LaurentPoly.constant(self.rank, 1, self.varnames)
-        yield acc
-        for _ in range(up_to):
-            acc = acc * self
-            yield acc
 
     # ------------------------------------------------------------- extraction
 

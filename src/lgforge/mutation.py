@@ -8,9 +8,7 @@ here: substitutions are always explicit input.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import RankMismatchError, ZeroDenominatorError
 from .laurent import LaurentPoly, RationalExpr, laurent_normalize
@@ -88,16 +86,15 @@ def check_period_invariance(f: LaurentPoly, g: LaurentPoly, up_to: int) -> Perio
 
 
 def substitution_from_dict(data: dict) -> Substitution:
-    """Read {"vars": [...], "images": [expr, ...]} into a Substitution."""
-    from .parsing import parse
+    """Read {"vars": [...], "images": [expr, ...]} into a Substitution.
 
-    varnames = [str(v) for v in data["vars"]]
-    images = [parse(str(text), varnames) for text in data["images"]]
+    A missing or malformed key raises ValueError naming it.
+    """
+    from .parsing import parse, spec_field, spec_list
+
+    varnames = spec_field(data, "vars", spec_list(str), "substitution")
+    images = [parse(text, varnames)
+              for text in spec_field(data, "images", spec_list(str), "substitution")]
     if len(images) != len(varnames):
         raise ValueError("one image per variable is required")
     return Substitution(tuple(images))
-
-
-def load_substitution(path: str | Path) -> Substitution:
-    with open(path) as fh:
-        return substitution_from_dict(json.load(fh))

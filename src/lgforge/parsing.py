@@ -1,4 +1,5 @@
-"""Recursive-descent parser for torus expressions.
+"""Recursive-descent parser for torus expressions, and the reader for the
+fields of JSON spec objects.
 
 Grammar (ASCII, whitespace insignificant, implicit multiplication forbidden):
 
@@ -17,7 +18,8 @@ exact, so they need no dedicated token.  ``^`` binds tighter than ``*`` and
 
 from __future__ import annotations
 
-from typing import Sequence
+from fractions import Fraction
+from typing import Any, Callable, Sequence
 
 from .errors import ExprSyntaxError, UnknownVariableError
 from .laurent import LaurentPoly, RationalExpr, laurent_normalize
@@ -149,3 +151,49 @@ def parse(text: str, varnames: Sequence[str]) -> RationalExpr:
 def parse_poly(text: str, varnames: Sequence[str]) -> LaurentPoly:
     """Parse and normalise; raises NotLaurentError for genuine rational functions."""
     return laurent_normalize(parse(text, varnames))
+
+
+# ---------------------------------------------------------------------------
+# JSON spec fields
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def spec_field(data: dict, key: str, convert: Callable[[Any], Any], where: str,
+               default: Any = _REQUIRED) -> Any:
+    """``convert(data[key])``, or ``default`` when the key is absent or null.
+
+    A required key that is absent, or a value ``convert`` rejects, raises a
+    ValueError naming ``where`` (the file or section being read) and the key.
+    """
+    value = data.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing key {key!r}")
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
+
+
+def spec_list(item: Callable[[Any], Any]) -> Callable[[Any], list]:
+    """Converter for a JSON list, passing each entry through ``item``."""
+    def convert(value) -> list:
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return [item(v) for v in value]
+    return convert
+
+
+def spec_object(value) -> dict:
+    """Converter for a JSON object."""
+    if not isinstance(value, dict):
+        raise TypeError("expected an object")
+    return value
+
+
+def spec_fraction(value) -> Fraction:
+    """Converter for a rational given as a number or a string such as "2/3"."""
+    return Fraction(str(value))

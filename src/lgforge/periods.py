@@ -8,7 +8,6 @@ from CSV or JSON files that carry coefficients as decimal strings.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -17,23 +16,6 @@ from typing import Callable, Literal, Sequence
 
 from .errors import RankMismatchError, ReferenceFormatError, SequenceRangeError
 from .laurent import LaurentPoly
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Worker count: explicit argument, else LGFORGE_THREADS, else 1 (0 = auto)."""
-    if workers is None:
-        env = os.environ.get("LGFORGE_THREADS")
-        if env is None:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"LGFORGE_THREADS must be an integer, got {env!r}")
-    if workers < 0:
-        raise ValueError("worker count must be >= 0")
-    if workers == 0:
-        return os.cpu_count() or 1
-    return workers
 
 
 @dataclass(frozen=True)
@@ -118,24 +100,16 @@ def _pair(hi: dict[int, int], lo: dict[int, int], target: int) -> int:
     return sum(c * get(target - a, 0) for a, c in small.items())
 
 
-def period_sequence(f: LaurentPoly, up_to: int, *, name: str = "",
-                    strategy: str = "incremental",
-                    workers: int | None = None) -> PeriodSequence:
+def period_sequence(f: LaurentPoly, up_to: int, *, name: str = "") -> PeriodSequence:
     """Constant terms of f**k for k = 0..up_to, exactly.
 
     One kernel: write f = g/D with g integral, build g**0..g**h for
     h = ceil(up_to/2) on packed int exponent keys, and read
     c_0(g**k) = sum_a g**ceil(k/2)[a] * g**floor(k/2)[-a]; then
-    c_k = c_0(g**k) / D**k.  ``strategy`` ("incremental" or "split") and
-    ``workers`` are accepted and validated for compatibility but select
-    nothing: every caller gets the same kernel and the same exact result.
+    c_k = c_0(g**k) / D**k.
     """
     if up_to < 0:
         raise ValueError("up_to must be nonnegative")
-    if strategy not in ("incremental", "split"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "split":
-        resolve_workers(workers)  # only the split strategy ever read the worker count
     powers, denom, _ = _half_powers(f, (up_to + 1) // 2, (0,) * f.rank)
     coeffs = []
     scale = 1
@@ -265,7 +239,7 @@ def ingest_reference(path: str | Path, fmt: str | None = None) -> PeriodSequence
             pairs.append((k, _parse_coeff(cells[1], i)))
         return _assemble(pairs, path.stem)
     data = json.loads(text)
-    if not isinstance(data, dict) or "coeffs" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
         raise ReferenceFormatError("JSON reference must be an object with a 'coeffs' list")
     pairs = []
     for entry in data["coeffs"]:

@@ -144,12 +144,16 @@ def test_complex_point_evaluation(capsys):
     assert json.loads(out)["result"]["value"]["re"] == -1.0
 
 
-def test_threads_env_is_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("LGFORGE_THREADS", "2")
-    rc, out = run_cli(["period", "--expr", "x+y+1/(x*y)", "--vars", "x,y",
-                       "-K", "6", "--strategy", "split", "--format", "json"], capsys)
+def test_tangency_flag_mode_hash_is_pinned(capsys):
+    # No golden covers the flag form of tangency; its provenance hash must not drift.
+    rc, out = run_cli(["tangency", "--expr", "z1+z2+1/(z1*z2)", "--vars", "z1,z2", "-r", "3",
+                       "--boundary", "1,2", "--multiplicities", "0,1,2", "--format", "json"],
+                      capsys)
     assert rc == 0
-    assert json.loads(out)["result"]["coeffs"] == [1, 0, 0, 6, 0, 0, 90]
+    data = json.loads(out)
+    assert data["result"] == {"integral": True, "tau": 1}
+    assert data["provenance"]["input_sha256"] == (
+        "b43f9a975e0a8ba24b2885e81763971ec0078409e146aaec2da3e7d3bfe2a4b1")
 
 
 def test_version_flag():

@@ -52,3 +52,72 @@ def test_tangency_bad_multiplicities_from_spec(tmp_path, mults):
     assert proc.returncode == 1
     assert "multiplicities" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+TANGENCY = {"potential": "z1 + z2 + 1/(z1*z2)", "vars": ["z1", "z2"], "r": 3,
+            "boundary": [1, 2], "multiplicities": [0, 1, 2]}
+COVER = {"potential": "x + 1/x", "vars": ["x"], "r": 2, "descendant": "2",
+         "functional": {"linear": ["0"], "constant": "1"}}
+CLASS = {"half_maslov": 1, "divisor_hits": [1]}
+EXPR = ["--expr", "x + 1/x", "--vars", "x"]
+
+# (id, argv, exit code, strings the message must contain).  A dict or list in
+# argv is written to a JSON file whose path takes its place; "{tmp}" is the
+# test's temporary directory.
+MALFORMED = [
+    ("period-vars-not-list", ["period", "--spec", {"expr": "x + 1/x", "vars": 5}, "-K", "3"],
+     2, ["'vars'", "expected a list"]),
+    ("spec-is-array", ["period", "--spec", [1, 2], "-K", "3"], 2, ["JSON object"]),
+    ("spec-is-directory", ["period", "--spec", "{tmp}", "-K", "3"], 2, ["{tmp}"]),
+    ("tangency-boundary-not-list", ["tangency", "--spec", dict(TANGENCY, boundary=7)],
+     2, ["'boundary'", "expected a list"]),
+    ("tangency-descendant-zero-denominator", [
+        "tangency", *EXPR, "-r", "2", "--boundary", "0", "--smooth", "--descendant", "1/0"],
+     2, ["'descendant'"]),
+    ("ledger-classes-not-list", ["ledger", "--spec", {"classes": 3}], 2, ["'classes'"]),
+    ("ledger-class-without-half-maslov", ["ledger", "--spec", {"classes": [{"area": 1}]}],
+     2, ["classes[0]", "missing key 'half_maslov'"]),
+    ("ledger-maslov-hits-index", ["ledger", "--spec", {
+        "classes": [CLASS], "checks": {"maslov_positive": {"hits_index": [5]}}}],
+     1, ["hits_index", "5"]),
+    ("ledger-riemann-hurwitz-hits-index", ["ledger", "--spec", {
+        "classes": [CLASS], "checks": {"riemann_hurwitz": {"r": 2, "hits_index": [5]}}}],
+     1, ["hits_index", "5"]),
+    ("ledger-riemann-hurwitz-without-r", ["ledger", "--spec", {
+        "classes": [CLASS], "checks": {"riemann_hurwitz": {}}}],
+     2, ["checks.riemann_hurwitz", "missing key 'r'"]),
+    ("sub-vars-not-list", ["mutate", *EXPR, "--sub", {"vars": 3, "images": ["x"]}],
+     2, ["'vars'", "expected a list"]),
+    ("sub-images-not-list", ["mutate", *EXPR, "--sub", {"vars": ["x"], "images": "x"}],
+     2, ["'images'", "expected a list"]),
+    ("cover-functional-without-constant", ["cover", "--spec", dict(
+        COVER, functional={"linear": ["0"]})], 2, ["functional", "missing key 'constant'"]),
+    ("cover-functional-linear-malformed", ["cover", "--spec", dict(
+        COVER, functional={"linear": 0, "constant": "1"})], 2, ["functional", "'linear'"]),
+    ("crit-starts", ["crit", *EXPR, "--starts", "-3"], 2, ["--starts"]),
+    ("crit-max-iter", ["crit", *EXPR, "--max-iter", "0"], 2, ["--max-iter"]),
+    ("crit-tol-nan", ["crit", *EXPR, "--tol", "nan"], 2, ["--tol"]),
+    ("crit-tol-zero", ["crit", *EXPR, "--tol", "0"], 2, ["--tol"]),
+    ("reference-coeffs-not-list", ["check-weak-lg", *EXPR, "-K", "2", "--reference",
+                                   {"coeffs": 5}], 2, ["'coeffs'"]),
+    ("output-in-missing-directory", ["period", *EXPR, "-K", "2", "--output",
+                                     "{tmp}/missing/report.txt"], 2, ["{tmp}/missing"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, needles", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_is_named_without_traceback(tmp_path, argv, code, needles):
+    args = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, (dict, list)):
+            path = tmp_path / f"input{i}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        args.append(arg.replace("{tmp}", str(tmp_path)))
+    proc = run_lgforge(*args)
+    assert proc.returncode == code
+    for needle in needles:
+        assert needle.replace("{tmp}", str(tmp_path)) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1

@@ -17,7 +17,7 @@ from lgforge import (
     smith_normal_form,
     solve_character,
 )
-from lgforge.lattice import det, hermite_column_basis, mat_mul
+from lgforge.lattice import det, hermite_column_basis
 
 import oracles
 

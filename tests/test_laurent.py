@@ -127,11 +127,6 @@ def test_pow_negative_rejected():
         poly("x") ** -1
 
 
-def test_powers_iterator_matches_pow():
-    f = poly("x + 2*y")
-    assert list(f.powers(4)) == [f ** k for k in range(5)]
-
-
 # ---------------------------------------------------------------------------
 # coefficient extraction
 # ---------------------------------------------------------------------------

@@ -46,30 +46,6 @@ def test_sequence_requires_unit_head():
         PeriodSequence("bad", (Fraction(2),), "computed")
 
 
-def test_split_strategy_matches_incremental():
-    f = parse_poly("x + y + 1/(x*y)", ["x", "y"])
-    a = period_sequence(f, 9)
-    b = period_sequence(f, 9, strategy="split")
-    assert a.coeffs == b.coeffs
-
-
-def test_split_strategy_parallel_is_deterministic():
-    f = parse_poly("x + y + 1/x + 1/y", ["x", "y"])
-    base = period_sequence(f, 8)
-    threaded = period_sequence(f, 8, strategy="split", workers=4)
-    assert base.coeffs == threaded.coeffs
-
-
-def test_workers_env(monkeypatch):
-    from lgforge import resolve_workers
-    monkeypatch.delenv("LGFORGE_THREADS", raising=False)
-    assert resolve_workers(None) == 1
-    monkeypatch.setenv("LGFORGE_THREADS", "3")
-    assert resolve_workers(None) == 3
-    monkeypatch.setenv("LGFORGE_THREADS", "0")
-    assert resolve_workers(None) >= 1
-
-
 # ---------------------------------------------------------------------------
 # descendants
 # ---------------------------------------------------------------------------

@@ -107,18 +107,3 @@ def test_power_coefficient_errors():
     with pytest.raises(ValueError):
         power_coefficient(f, -1, (0, 0))
 
-
-def test_strategy_is_validated_but_inert():
-    f = parse_poly("x + 1/x", ["x"])
-    with pytest.raises(ValueError):
-        period_sequence(f, 4, strategy="threaded")
-    assert period_sequence(f, 4, strategy="split").coeffs == period_sequence(f, 4).coeffs
-
-
-def test_bad_thread_count_still_raises_for_split(monkeypatch):
-    f = parse_poly("x + 1/x", ["x"])
-    monkeypatch.setenv("LGFORGE_THREADS", "many")
-    with pytest.raises(ValueError):
-        period_sequence(f, 4, strategy="split")
-    with pytest.raises(ValueError):
-        period_sequence(f, 4, strategy="split", workers=-1)
