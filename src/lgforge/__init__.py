@@ -18,7 +18,6 @@ from .cover import (
     cover_connected,
     cover_spec_from_dict,
     derive_action,
-    load_cover_spec,
     maslov_positive,
     monotonicity_check,
     riemann_hurwitz_lift,
@@ -58,7 +57,6 @@ from .lattice import (
     Sublattice,
     hermite_column_basis,
     invariant_sublattice,
-    membership,
     rewrite_in_sublattice,
     smith_normal_form,
     solve_character,
@@ -68,9 +66,6 @@ from .laurent import (
     LaurentPoly,
     RationalExpr,
     divide_exact,
-    evec_add,
-    evec_dot,
-    evec_neg,
     laurent_normalize,
 )
 from .mutation import (

@@ -40,11 +40,7 @@ _USAGE_ERRORS = (ExprSyntaxError, ReferenceFormatError, OSError, ValueError)
 
 
 def _frac_json(c: Fraction):
-    return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _frac_text(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    return int(c) if c.denominator == 1 else str(c)
 
 
 def _complex_json(z: complex) -> dict:
@@ -63,17 +59,21 @@ def _read_expr(value: str) -> str:
     return sys.stdin.read() if value == "-" else value
 
 
-def _int_csv(text: str) -> list[int]:
-    return [int(x) for x in _split_csv(text)]
-
-
-def _matrix_arg(text: str) -> list[list[int]]:
-    return [_int_csv(row) for row in text.split(";")]
+def _csv_flag(text: str, flag: str, item=int) -> list:
+    """The comma-separated values of an inline flag, each converted by ``item``;
+    a value ``item`` rejects is a ValueError naming the flag."""
+    try:
+        return [item(x) for x in _split_csv(text)]
+    except ValueError as exc:
+        raise ValueError(f"bad value for {flag}: {exc}") from None
 
 
 def _json_object(path: str) -> dict:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
     return data
@@ -123,7 +123,7 @@ def _provenance(command: str, inputs: dict, seed: int) -> dict:
 
 def _cmd_eval(args):
     expr, varnames, raw = _expr_inputs(args)
-    point = [complex(p) for p in _split_csv(args.point)]
+    point = _csv_flag(args.point, "--point", complex)
     raw["point"] = [str(p) for p in point]
     f = parse_poly(expr, varnames)
     value = f.evaluate(point)
@@ -141,7 +141,7 @@ def _cmd_period(args):
     seq = period_sequence(f, args.max_power)
     result = {"coeffs": [_frac_json(c) for c in seq.coeffs], "max_power": seq.max_power}
     lines = ["k    c_k", "-" * 24]
-    lines += [f"{k:<4d} {_frac_text(c)}" for k, c in enumerate(seq.coeffs)]
+    lines += [f"{k:<4d} {c}" for k, c in enumerate(seq.coeffs)]
     return result, lines, raw
 
 
@@ -168,13 +168,14 @@ def _cmd_cover(args):
 
 def _cmd_quotient(args):
     expr, varnames, raw = _expr_inputs(args)
-    weights = _int_csv(args.weights)
+    weights = _csv_flag(args.weights, "--weights")
     raw.update({"weights": weights, "r": args.modulus})
     f = parse_poly(expr, varnames)
     action = CharacterAction(tuple(weights), args.modulus)
     lattice = invariant_sublattice(action)
     if args.basis:
-        override = Sublattice.from_columns(_matrix_arg(args.basis))
+        override = Sublattice.from_columns(
+            [_csv_flag(row, "--basis") for row in args.basis.split(";")])
         if not lattice.same_lattice(override):
             raise ValueError("basis override does not span the invariant sublattice")
         lattice = override
@@ -255,8 +256,9 @@ def _cmd_tangency(args):
         _, _, data = _expr_inputs(args)
         if args.degree is None:
             raise ValueError("the cover degree -r is required")
-        data.update(r=args.degree, boundary=_int_csv(args.boundary),
-                    multiplicities=_int_csv(args.multiplicities) if args.multiplicities else None,
+        data.update(r=args.degree, boundary=_csv_flag(args.boundary, "--boundary"),
+                    multiplicities=(_csv_flag(args.multiplicities, "--multiplicities")
+                                    if args.multiplicities else None),
                     descendant=args.descendant, smooth=args.smooth)
         where = "command line"
     expr = spec_field(data, "potential" if args.spec else "expr", str, where)
@@ -271,7 +273,7 @@ def _cmd_tangency(args):
     tau: TangencyNumber = tangency_number(
         potential, r, boundary, multiplicities=mults, descendant=descendant, smooth=smooth)
     result = {"integral": tau.integral, "tau": _frac_json(tau.value)}
-    lines = [f"tau = {_frac_text(tau.value)}"
+    lines = [f"tau = {tau.value}"
              + ("" if tau.integral else "   WARNING: non-integral (inconsistent inputs?)")]
     return result, lines, data
 
@@ -292,7 +294,7 @@ def _cmd_compare(args):
         ],
     }
     lines = ["k    left             right            match", "-" * 48]
-    lines += [f"{row.k:<4d} {_frac_text(row.left):<16} {_frac_text(row.right):<16} "
+    lines += [f"{row.k:<4d} {str(row.left):<16} {str(row.right):<16} "
               f"{'yes' if row.match else 'NO'}" for row in report.rows]
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
     return result, lines, raw
@@ -317,7 +319,7 @@ def _cmd_check_weak_lg(args):
     }
     lines = [f"reference: {reference.name}",
              "k    computed         reference        match", "-" * 48]
-    lines += [f"{row.k:<4d} {_frac_text(row.computed):<16} {_frac_text(row.reference):<16} "
+    lines += [f"{row.k:<4d} {str(row.computed):<16} {str(row.reference):<16} "
               f"{'yes' if row.match else 'NO'}" for row in report.rows]
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
     return result, lines, raw
@@ -357,7 +359,7 @@ def _cmd_ledger(args):
         result["monotonicity"] = {"lambda": _frac_json(lam) if lam is not None else None,
                                   "monotone": lam is not None}
         if lam is not None:
-            lines.append(f"monotone with lambda = {_frac_text(lam)}")
+            lines.append(f"monotone with lambda = {lam}")
         else:
             lines.append("not monotone (no single area/Maslov ratio)")
     if "riemann_hurwitz" in checks:
@@ -369,7 +371,7 @@ def _cmd_ledger(args):
             lift = riemann_hurwitz_lift(disc.half_maslov, disc.hits(hits_index), r)
             rows.append({"half_maslov_up": _frac_json(lift.value), "liftable": lift.liftable})
             lines.append(f"riemann-hurwitz r={r}: mu/2 = {disc.half_maslov}, "
-                         f"hits = {disc.hits(hits_index)} -> {_frac_text(lift.value)}"
+                         f"hits = {disc.hits(hits_index)} -> {lift.value}"
                          f" ({'lifts' if lift.liftable else 'no integral lift'})")
         result["riemann_hurwitz"] = {"r": r, "rows": rows}
     if "connected" in checks:

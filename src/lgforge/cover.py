@@ -15,11 +15,9 @@ connectivity of the covering torus).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from pathlib import Path
 from typing import Sequence
 
 from .errors import (
@@ -335,7 +333,3 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
     qvars = spec_field(data, "quotient_vars", spec_list(str), where, None)
     return spec, basis, qvars
 
-
-def load_cover_spec(path: str | Path) -> tuple[CoverSpec, list[list[int]] | None, list[str] | None]:
-    with open(path) as fh:
-        return cover_spec_from_dict(json.load(fh))

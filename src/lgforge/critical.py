@@ -3,15 +3,16 @@
 The gradient is taken in torus-invariant form, theta_i = x_i d/dx_i, so the
 critical system theta_i f = 0 lives on (C*)^n and Newton steps act
 multiplicatively (z -> z * exp(-delta)), which keeps iterates off the
-coordinate axes.  Residuals of reported points are re-checked through the
-exact polynomial evaluator, independently of the compiled solver path.
+coordinate axes.  Each step evaluates every monomial of f once and reads the
+gradient and log-Hessian entries off that one vector.  Residuals of reported
+points are re-checked through the exact polynomial evaluator, independently of
+the numpy arithmetic of the Newton steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,17 +31,19 @@ def log_gradient(f: LaurentPoly) -> list[LaurentPoly]:
     return out
 
 
+START_RADIUS = 4.0  # start moduli are log-uniform in [1/START_RADIUS, START_RADIUS]
+COORD_BOUND = 1e9  # a start is dropped once some |z_i| leaves [1/COORD_BOUND, COORD_BOUND]
+DEDUPE_RADIUS = 1e-6  # points this close in the max-norm are one point
+HESSIAN_THRESHOLD = 1e-8  # |det| below this times the product of row norms is degenerate
+VALUE_TOL = 1e-8  # critical values this close are one value
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     starts: int = 200
     tol: float = 1e-11
     max_iter: int = 80
-    dedupe_radius: float = 1e-6
     seed: int = 0
-    radius: float = 4.0          # start moduli are log-uniform in [1/radius, radius]
-    hessian_threshold: float = 1e-8
-    value_tol: float = 1e-8
-    coord_bound: float = 1e9
 
 
 @dataclass(frozen=True)
@@ -64,20 +67,15 @@ class CriticalValueSet:
     degenerate_input: bool
 
 
-class _Compiled:
-    """numpy-backed evaluator for one polynomial at complex torus points."""
+def _entry(items, weight) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``items`` with nonzero weight(e), and the exact weight(e) * c rounded."""
+    rows = [k for k, (e, _) in enumerate(items) if weight(e)]
+    coeffs = [complex(weight(items[k][0]) * items[k][1]) for k in rows]
+    return np.array(rows, dtype=np.intp), np.array(coeffs, dtype=complex)
 
-    def __init__(self, f: LaurentPoly):
-        items = sorted(f.terms.items())
-        self.empty = not items
-        if items:
-            self.exps = np.array([e for e, _ in items], dtype=np.int64)
-            self.coeffs = np.array([complex(c) for _, c in items])
 
-    def __call__(self, z: np.ndarray) -> complex:
-        if self.empty:
-            return 0j
-        return complex(np.prod(z[None, :] ** self.exps, axis=1) @ self.coeffs)
+def _evaluate(m: np.ndarray, entries) -> np.ndarray:
+    return np.array([m[rows] @ coeffs for rows, coeffs in entries])
 
 
 def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> CriticalSearch:
@@ -86,31 +84,35 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
     Non-converged starts are silently dropped; a singular Jacobian triggers a
     deterministic multiplicative jitter and the iteration continues.  Converged
     points are re-checked exactly, canonically sorted, and deduplicated within
-    ``opts.dedupe_radius`` in the max-norm.
+    ``DEDUPE_RADIUS`` in the max-norm.
     """
     n = f.rank
     grads = log_gradient(f)
     if all(g.is_zero() for g in grads):
         return CriticalSearch((), degenerate_input=True)
-    hess = [log_gradient(g) for g in grads]  # hess[i][j] = theta_j theta_i f
-    cg = [_Compiled(g) for g in grads]
-    ch = [[_Compiled(hess[i][j]) for j in range(n)] for i in range(n)]
+    items = sorted(f.terms.items())
+    exps = np.array([e for e, _ in items], dtype=np.int64)
+    # theta_i f and theta_j theta_i f weight the term c x^e by e_i and e_i e_j
+    grad = [_entry(items, lambda e, i=i: e[i]) for i in range(n)]
+    hess = [_entry(items, lambda e, i=i, j=j: e[i] * e[j])
+            for i in range(n) for j in range(n)]  # row-major: theta_j theta_i f
 
     rng = np.random.default_rng(opts.seed)
-    log_r = math.log(opts.radius)
+    log_r = math.log(START_RADIUS)
     converged: list[np.ndarray] = []
     for _ in range(opts.starts):
         radii = np.exp(rng.uniform(-log_r, log_r, n))
         phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
         z = radii * phases
         for _ in range(opts.max_iter):
-            g = np.array([cg[i](z) for i in range(n)])
+            m = np.prod(z[None, :] ** exps, axis=1)
+            g = _evaluate(m, grad)
             if not np.all(np.isfinite(g)):
                 break
             if np.max(np.abs(g)) < opts.tol:
                 converged.append(z)
                 break
-            h = np.array([[ch[i][j](z) for j in range(n)] for i in range(n)])
+            h = _evaluate(m, hess).reshape(n, n)
             try:
                 delta = np.linalg.solve(h, g)
             except np.linalg.LinAlgError:
@@ -121,7 +123,7 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
                 delta = delta * (5.0 / step)  # damp wild steps far from a root
             z = z * np.exp(-delta)
             mags = np.abs(z)
-            if np.max(mags) > opts.coord_bound or np.min(mags) < 1.0 / opts.coord_bound:
+            if np.max(mags) > COORD_BOUND or np.min(mags) < 1.0 / COORD_BOUND:
                 break
 
     # exact re-check, canonical order, dedupe
@@ -135,17 +137,17 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
     points: list[CriticalPoint] = []
     kept: list[list[complex]] = []
     for pt, residual in checked:
-        if any(max(abs(a - b) for a, b in zip(pt, other)) < opts.dedupe_radius
+        if any(max(abs(a - b) for a, b in zip(pt, other)) < DEDUPE_RADIUS
                for other in kept):
             continue
         kept.append(pt)
-        z = np.array(pt)
-        h = np.array([[ch[i][j](z) for j in range(n)] for i in range(n)])
+        m = np.prod(np.array(pt)[None, :] ** exps, axis=1)
+        h = _evaluate(m, hess).reshape(n, n)
         det = complex(np.linalg.det(h))
         scale = 1.0
         for i in range(n):
             scale *= max(float(np.linalg.norm(h[i])), 1e-300)
-        nondegenerate = abs(det) > opts.hessian_threshold * scale
+        nondegenerate = abs(det) > HESSIAN_THRESHOLD * scale
         points.append(CriticalPoint(
             coords=tuple(pt),
             value=f.evaluate(pt),
@@ -158,13 +160,13 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
 
 def critical_values(f: LaurentPoly, opts: SolverOptions = SolverOptions(),
                     search: CriticalSearch | None = None) -> CriticalValueSet:
-    """Distinct critical values with multiplicities (clustered within value_tol)."""
+    """Distinct critical values with multiplicities (clustered within VALUE_TOL)."""
     if search is None:
         search = critical_points(f, opts)
     clusters: list[tuple[complex, int]] = []
     for p in sorted(search.points, key=lambda p: (p.value.real, p.value.imag)):
         for i, (rep, count) in enumerate(clusters):
-            if abs(p.value - rep) <= opts.value_tol:
+            if abs(p.value - rep) <= VALUE_TOL:
                 clusters[i] = (rep, count + 1)
                 break
         else:

@@ -317,9 +317,6 @@ class Sublattice:
             coords.append(num // d)
         return tuple(coords)
 
-    def contains(self, e: Sequence[int]) -> bool:
-        return self.membership(e) is not None
-
     def same_lattice(self, other: "Sublattice") -> bool:
         if self.ambient_rank != other.ambient_rank or self.index != other.index:
             return False
@@ -329,10 +326,6 @@ class Sublattice:
 @lru_cache(maxsize=256)
 def _solve_data(basis: Matrix) -> tuple[int, list[list[int]]]:
     return det(basis), adjugate(basis)
-
-
-def membership(s: Sublattice, e: Sequence[int]) -> tuple[int, ...] | None:
-    return s.membership(e)
 
 
 def invariant_sublattice(action: CharacterAction) -> Sublattice:

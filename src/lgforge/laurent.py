@@ -35,20 +35,6 @@ def _default_names(rank: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, rank + 1))
 
 
-def evec_add(a: Sequence[int], b: Sequence[int]) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def evec_neg(a: Sequence[int]) -> Exponent:
-    return tuple(-x for x in a)
-
-
-def evec_dot(a: Sequence[int], b: Sequence[int]) -> int:
-    if len(a) != len(b):
-        raise RankMismatchError(f"dot product of vectors of lengths {len(a)} and {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _grlex_key(e: Exponent) -> tuple:
     # graded-lexicographic: total degree first, then lexicographic on entries
     return (sum(e), e)
@@ -310,11 +296,11 @@ class LaurentPoly:
             )
             mag = abs(c)
             if not mono:
-                body = _frac_str(mag)
+                body = str(mag)
             elif mag == 1:
                 body = mono
             else:
-                body = f"{_frac_str(mag)}*{mono}"
+                body = f"{mag}*{mono}"
             pieces.append(("-" if c < 0 else "+", body))
         sign, body = pieces[0]
         text = ("-" + body) if sign == "-" else body
@@ -327,10 +313,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()!r}, vars={list(self.varnames)})"
-
-
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 # ---------------------------------------------------------------------------

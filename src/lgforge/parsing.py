@@ -145,7 +145,11 @@ class _Parser:
 
 def parse(text: str, varnames: Sequence[str]) -> RationalExpr:
     """Parse ``text`` into a rational expression over the named variables."""
-    return _Parser(text, varnames).parse()
+    parser = _Parser(text, varnames)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", parser.peek()[2]) from None
 
 
 def parse_poly(text: str, varnames: Sequence[str]) -> LaurentPoly:

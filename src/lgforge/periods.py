@@ -238,7 +238,10 @@ def ingest_reference(path: str | Path, fmt: str | None = None) -> PeriodSequence
                 raise ReferenceFormatError(f"bad index {cells[0].strip()!r}", i)
             pairs.append((k, _parse_coeff(cells[1], i)))
         return _assemble(pairs, path.stem)
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ReferenceFormatError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
         raise ReferenceFormatError("JSON reference must be an object with a 'coeffs' list")
     pairs = []

@@ -60,10 +60,19 @@ COVER = {"potential": "x + 1/x", "vars": ["x"], "r": 2, "descendant": "2",
          "functional": {"linear": ["0"], "constant": "1"}}
 CLASS = {"half_maslov": 1, "divisor_hits": [1]}
 EXPR = ["--expr", "x + 1/x", "--vars", "x"]
+EXPR2 = ["--expr", "z1 + z2 + 1/(z1*z2)", "--vars", "z1,z2"]
 
-# (id, argv, exit code, strings the message must contain).  A dict or list in
-# argv is written to a JSON file whose path takes its place; "{tmp}" is the
-# test's temporary directory.
+
+class FileText(str):
+    """File contents given as text, for JSON that json.dumps cannot write
+    because it nests too deeply."""
+
+
+NESTED = FileText("[" * 100_000 + "]" * 100_000)
+
+# (id, argv, exit code, strings the message must contain).  A dict, list or
+# FileText in argv is written to a JSON file whose path takes its place;
+# "{tmp}" is the test's temporary directory.
 MALFORMED = [
     ("period-vars-not-list", ["period", "--spec", {"expr": "x + 1/x", "vars": 5}, "-K", "3"],
      2, ["'vars'", "expected a list"]),
@@ -102,6 +111,23 @@ MALFORMED = [
                                    {"coeffs": 5}], 2, ["'coeffs'"]),
     ("output-in-missing-directory", ["period", *EXPR, "-K", "2", "--output",
                                      "{tmp}/missing/report.txt"], 2, ["{tmp}/missing"]),
+    ("spec-nested-deeply", ["period", "--spec", NESTED, "-K", "3"],
+     2, ["{tmp}/input2.json", "nested too deeply"]),
+    ("sub-nested-deeply", ["mutate", *EXPR, "--sub", NESTED],
+     2, ["{tmp}/input6.json", "nested too deeply"]),
+    ("reference-nested-deeply", ["check-weak-lg", *EXPR, "-K", "2", "--reference", NESTED],
+     2, ["{tmp}/input8.json", "nested too deeply"]),
+    ("expr-nested-deeply", ["period", "--expr", "(" * 3000 + "x" + ")" * 3000, "--vars", "x",
+                            "-K", "2"], 2, ["expression nested too deeply"]),
+    ("quotient-weights", ["quotient", *EXPR2, "--weights", "1,a", "-r", "2"],
+     2, ["--weights", "'a'"]),
+    ("quotient-basis", ["quotient", *EXPR2, "--weights", "1,1", "-r", "2", "--basis", "1,1;0,b"],
+     2, ["--basis", "'b'"]),
+    ("eval-point", ["eval", *EXPR, "--point", "1+"], 2, ["--point"]),
+    ("tangency-boundary", ["tangency", *EXPR, "-r", "2", "--boundary", "q", "--smooth"],
+     2, ["--boundary", "'q'"]),
+    ("tangency-multiplicities", ["tangency", *EXPR2, "-r", "3", "--boundary", "1,2",
+                                 "--multiplicities", "0,1.5"], 2, ["--multiplicities", "'1.5'"]),
 ]
 
 
@@ -110,9 +136,9 @@ MALFORMED = [
 def test_malformed_input_is_named_without_traceback(tmp_path, argv, code, needles):
     args = []
     for i, arg in enumerate(argv):
-        if isinstance(arg, (dict, list)):
+        if isinstance(arg, (dict, list, FileText)):
             path = tmp_path / f"input{i}.json"
-            path.write_text(json.dumps(arg))
+            path.write_text(arg if isinstance(arg, FileText) else json.dumps(arg))
             arg = str(path)
         args.append(arg.replace("{tmp}", str(tmp_path)))
     proc = run_lgforge(*args)

@@ -18,7 +18,6 @@ from lgforge import (
     cover_connected,
     cover_spec_from_dict,
     derive_action,
-    load_cover_spec,
     maslov_positive,
     monotonicity_check,
     parse_poly,
@@ -338,7 +337,7 @@ def test_cover_spec_round_trip(tmp_path):
     assert basis == [[-1, -1], [1, -1]]
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
-    spec2, basis2, qvars2 = load_cover_spec(path)
+    spec2, basis2, qvars2 = cover_spec_from_dict(json.loads(path.read_text()))
     assert spec2.potential == spec.potential and basis2 == basis and qvars2 == ["x", "y"]
     res = build_cover_potential(spec2, basis=basis2, quotient_varnames=qvars2)
     assert res.quotient_potential == parse_poly("x + (1+y)^2/(x*y)", ["x", "y"])

@@ -106,6 +106,53 @@ def test_residuals_are_rechecked():
         assert max(abs(g.evaluate(p.coords)) for g in grads) < FAST.tol
 
 
+def _det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def assert_log_hessian_det_matches(f, point):
+    # reference: det[theta_j theta_i f] from the exact derivative polynomials;
+    # the tolerance is relative to the product of the row norms, which bounds
+    # |det| and so sets the scale of its rounding error
+    hess = [[h.evaluate(point.coords) for h in log_gradient(g)] for g in log_gradient(f)]
+    scale = 1.0
+    for row in hess:
+        scale *= max(sum(abs(v) ** 2 for v in row) ** 0.5, 1e-300)
+    assert abs(point.log_hessian_det - _det(hess)) <= 1e-9 * scale
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_log_hessian_det_matches_exact_derivatives(n, seed):
+    # random terms added to x_1 + ... + x_n + 1/(x_1 ... x_n), whose terms they
+    # leave alone, so the origin stays inside the Newton polytope and the
+    # search has points to check
+    rng = random.Random(seed)
+    terms = oracles.random_poly_terms(rng, n, rng.randint(0, 4), exp_range=1)
+    terms.update({tuple(int(i == j) for j in range(n)): 1 for i in range(n)})
+    terms[(-1,) * n] = 1
+    f = LaurentPoly(n, terms)
+    points = critical_points(f, SolverOptions(starts=20, seed=0)).points
+    assert points
+    for p in points:
+        assert_log_hessian_det_matches(f, p)
+
+
+def test_log_hessian_with_an_identically_zero_entry():
+    # theta_x theta_y f == 0 for P1 x P1, so that Hessian entry reads no terms
+    f = parse_poly("x + 1/x + y + 1/y", ["x", "y"])
+    search = critical_points(f, FAST)
+    assert sorted(round(p.value.real, 9) for p in search.points) == [-4, 0, 0, 4]
+    for p in search.points:
+        assert abs(p.value.imag) < 1e-9
+        assert abs(abs(p.log_hessian_det) - 4) < 1e-9 and p.nondegenerate
+        assert_log_hessian_det_matches(f, p)
+
+
 def test_constant_is_degenerate_input():
     f = parse_poly("5", ["x", "y"])
     search = critical_points(f, FAST)

@@ -11,7 +11,6 @@ from lgforge import (
     NotInSublatticeError,
     Sublattice,
     invariant_sublattice,
-    membership,
     parse_poly,
     rewrite_in_sublattice,
     smith_normal_form,
@@ -138,7 +137,6 @@ def test_membership_solves_integer_system():
 def test_membership_parity_obstruction():
     sub = Sublattice.from_columns([(2, 0), (0, 1)])
     assert sub.membership((1, 0)) is None
-    assert membership(sub, (1, 0)) is None
 
 
 # ---------------------------------------------------------------------------

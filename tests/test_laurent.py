@@ -59,15 +59,6 @@ def test_immutability():
         f.rank = 3
 
 
-def test_exponent_vector_helpers():
-    from lgforge import evec_add, evec_dot, evec_neg
-    assert evec_add((1, -2), (3, 4)) == (4, 2)
-    assert evec_neg((1, -2)) == (-1, 2)
-    assert evec_dot((1, -2), (3, 4)) == -5
-    with pytest.raises(RankMismatchError):
-        evec_dot((1,), (1, 2))
-
-
 # ---------------------------------------------------------------------------
 # ring operations
 # ---------------------------------------------------------------------------
