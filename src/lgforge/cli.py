@@ -31,7 +31,7 @@ from .cover import (
 )
 from .critical import SolverOptions, critical_points, critical_values
 from .errors import ExprSyntaxError, LGForgeError, ReferenceFormatError
-from .lattice import CharacterAction, Sublattice, invariant_sublattice, rewrite_in_sublattice
+from .lattice import CharacterAction, invariant_sublattice, rewrite_in_sublattice
 from .mutation import apply_substitution, check_period_invariance, substitution_from_dict
 from .parsing import parse_poly, spec_field, spec_fraction, spec_list, spec_object
 from .periods import DescendantConstant, ingest_reference, is_weak_lg, period_sequence
@@ -59,13 +59,18 @@ def _read_expr(value: str) -> str:
     return sys.stdin.read() if value == "-" else value
 
 
-def _csv_flag(text: str, flag: str, item=int) -> list:
+def _csv_flag(text: str, flag: str, item=int, length: int | None = None) -> list:
     """The comma-separated values of an inline flag, each converted by ``item``;
-    a value ``item`` rejects is a ValueError naming the flag."""
+    a value ``item`` rejects, or a count other than ``length``, is a ValueError
+    naming the flag."""
     try:
-        return [item(x) for x in _split_csv(text)]
+        values = [item(x) for x in _split_csv(text)]
     except ValueError as exc:
         raise ValueError(f"bad value for {flag}: {exc}") from None
+    if length is not None and len(values) != length:
+        raise ValueError(f"bad value for {flag}: expected {length} values "
+                         f"(one per variable), got {len(values)}")
+    return values
 
 
 def _json_object(path: str) -> dict:
@@ -123,7 +128,7 @@ def _provenance(command: str, inputs: dict, seed: int) -> dict:
 
 def _cmd_eval(args):
     expr, varnames, raw = _expr_inputs(args)
-    point = _csv_flag(args.point, "--point", complex)
+    point = _csv_flag(args.point, "--point", complex, length=len(varnames))
     raw["point"] = [str(p) for p in point]
     f = parse_poly(expr, varnames)
     value = f.evaluate(point)
@@ -168,19 +173,20 @@ def _cmd_cover(args):
 
 def _cmd_quotient(args):
     expr, varnames, raw = _expr_inputs(args)
-    weights = _csv_flag(args.weights, "--weights")
+    weights = _csv_flag(args.weights, "--weights", length=len(varnames))
     raw.update({"weights": weights, "r": args.modulus})
     f = parse_poly(expr, varnames)
     action = CharacterAction(tuple(weights), args.modulus)
     lattice = invariant_sublattice(action)
     if args.basis:
-        override = Sublattice.from_columns(
-            [_csv_flag(row, "--basis") for row in args.basis.split(";")])
-        if not lattice.same_lattice(override):
-            raise ValueError("basis override does not span the invariant sublattice")
-        lattice = override
+        columns = [_csv_flag(row, "--basis") for row in args.basis.split(";")]
+        try:  # a ragged, dependent or wrong basis
+            lattice = lattice.rebased(columns)
+        except ValueError as exc:
+            raise ValueError(f"bad value for --basis: {exc}") from None
         raw["basis"] = args.basis
-    new_vars = _split_csv(args.new_vars) if args.new_vars else None
+    new_vars = (_csv_flag(args.new_vars, "--new-vars", str, length=len(varnames))
+                if args.new_vars else None)
     g = rewrite_in_sublattice(f, lattice, varnames=new_vars)
     result = {
         "basis_columns": [list(c) for c in lattice.columns],
@@ -256,7 +262,8 @@ def _cmd_tangency(args):
         _, _, data = _expr_inputs(args)
         if args.degree is None:
             raise ValueError("the cover degree -r is required")
-        data.update(r=args.degree, boundary=_csv_flag(args.boundary, "--boundary"),
+        data.update(r=args.degree,
+                    boundary=_csv_flag(args.boundary, "--boundary", length=len(data["vars"])),
                     multiplicities=(_csv_flag(args.multiplicities, "--multiplicities")
                                     if args.multiplicities else None),
                     descendant=args.descendant, smooth=args.smooth)

@@ -145,10 +145,7 @@ def build_cover_potential(spec: CoverSpec, *,
             f"cover potential has non-invariant exponents {bad}; inputs are inconsistent")
     lattice = invariant_sublattice(action)
     if basis is not None:
-        override = Sublattice.from_columns(basis)
-        if not lattice.same_lattice(override):
-            raise ValueError("basis override does not span the invariant sublattice")
-        lattice = override
+        lattice = lattice.rebased(basis)
     quotient = rewrite_in_sublattice(upstairs, lattice, varnames=quotient_varnames)
     return CoverResult(upstairs, action, quotient, lattice)
 
@@ -329,7 +326,13 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
     r = spec_field(data, "r", int, where)
     descendant = DescendantConstant(r, spec_field(data, "descendant", spec_fraction, where))
     spec = CoverSpec(potential, functional, r, descendant)
-    basis = spec_field(data, "basis", spec_list(spec_list(int)), where, None)
+
+    def basis_columns(value) -> list[list[int]]:
+        columns = spec_list(spec_list(int))(value)
+        Sublattice.from_columns(columns)  # a ragged or dependent basis fails here, naming its key
+        return columns
+
+    basis = spec_field(data, "basis", basis_columns, where, None)
     qvars = spec_field(data, "quotient_vars", spec_list(str), where, None)
     return spec, basis, qvars
 

@@ -1,10 +1,11 @@
 """Integer matrix normal forms and finite-index sublattices of Z^n.
 
-Everything here is exact: Smith and Hermite forms run on Python integers,
-membership tests solve integer linear systems through the adjugate.  The
-geometric purpose is rewriting deck-invariant Laurent polynomials in a basis
-of the invariant sublattice of a cyclic character action (the quotient-torus
-coordinate change).
+Everything here is exact and runs on Python integers.  The row Hermite form
+gives invariant sublattices, deck-character feasibility and basis equality;
+sublattice coordinates come from the adjugate; the Smith form is a public
+utility that no internal path uses.  The geometric purpose is rewriting
+deck-invariant Laurent polynomials in a basis of the invariant sublattice of
+a cyclic character action (the quotient-torus coordinate change).
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ Matrix = tuple[tuple[int, ...], ...]
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    if any(len(r) != len(v) for r in a):
-        raise RankMismatchError("matrix-vector dimension mismatch")
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in a]
 
 
 def transpose(a: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -101,48 +96,40 @@ class SNFDecomposition:
     V: Matrix
 
 
-def _snf_with_inverses(a: Sequence[Sequence[int]]):
-    """Return (U, Uinv, D, V, Vinv) with A = U D V and D = Uinv A Vinv.
+def smith_normal_form(a: Sequence[Sequence[int]]) -> SNFDecomposition:
+    """Smith normal form A = U D V of any rectangular integer matrix.
 
-    Works for any rectangular integer matrix; all five factors are tracked
-    through the elementary operations so no matrix inversion is needed.
+    U and V are tracked through the elementary operations, so no matrix
+    inversion is needed.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(map(int, row)) for row in a]
-    u, uinv = identity(m), identity(m)
-    v, vinv = identity(n), identity(n)
+    u, v = identity(m), identity(n)
 
     def row_add(i, j, q):  # row_i += q * row_j
         d[i] = [x + q * y for x, y in zip(d[i], d[j])]
-        uinv[i] = [x + q * y for x, y in zip(uinv[i], uinv[j])]
         for r in range(m):
             u[r][j] -= q * u[r][i]
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
-        uinv[i], uinv[j] = uinv[j], uinv[i]
         for r in range(m):
             u[r][i], u[r][j] = u[r][j], u[r][i]
 
     def row_neg(i):
         d[i] = [-x for x in d[i]]
-        uinv[i] = [-x for x in uinv[i]]
         for r in range(m):
             u[r][i] = -u[r][i]
 
     def col_add(i, j, q):  # col_j += q * col_i
         for r in range(m):
             d[r][j] += q * d[r][i]
-        for r in range(n):
-            vinv[r][j] += q * vinv[r][i]
         v[i] = [x - q * y for x, y in zip(v[i], v[j])]
 
     def col_swap(i, j):
         for r in range(m):
             d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(n):
-            vinv[r][i], vinv[r][j] = vinv[r][j], vinv[r][i]
         v[i], v[j] = v[j], v[i]
 
     t = 0
@@ -189,17 +176,11 @@ def _snf_with_inverses(a: Sequence[Sequence[int]]):
         if d[t][t] < 0:
             row_neg(t)
         t += 1
-    return u, uinv, d, v, vinv
-
-
-def smith_normal_form(a: Sequence[Sequence[int]]) -> SNFDecomposition:
-    """Smith normal form A = U D V of an integer matrix."""
-    u, _, d, v, _ = _snf_with_inverses(a)
     return SNFDecomposition(_freeze(u), _freeze(d), _freeze(v))
 
 
 # ---------------------------------------------------------------------------
-# Hermite normal form (column style, for canonical sublattice bases)
+# Hermite normal form (canonical bases, kernels, membership, equality)
 # ---------------------------------------------------------------------------
 
 def _hnf_rows(mat: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -288,7 +269,7 @@ class Sublattice:
         cols = [list(c) for c in columns]
         n = len(cols[0]) if cols else 0
         if len(cols) != n or any(len(c) != n for c in cols):
-            raise RankMismatchError("a sublattice basis needs n independent columns in Z^n")
+            raise ValueError("a sublattice basis needs n independent columns in Z^n")
         matrix = _freeze(transpose(cols))
         d = det(matrix)
         if d == 0:
@@ -318,9 +299,14 @@ class Sublattice:
         return tuple(coords)
 
     def same_lattice(self, other: "Sublattice") -> bool:
-        if self.ambient_rank != other.ambient_rank or self.index != other.index:
-            return False
-        return all(self.membership(c) is not None for c in other.columns)
+        return hermite_column_basis(self.columns) == hermite_column_basis(other.columns)
+
+    def rebased(self, columns: Sequence[Sequence[int]]) -> "Sublattice":
+        """This lattice with ``columns`` as its basis; a ValueError unless they span it."""
+        other = Sublattice.from_columns(columns)
+        if not self.same_lattice(other):
+            raise ValueError("basis columns do not span the sublattice")
+        return other
 
 
 @lru_cache(maxsize=256)
@@ -338,14 +324,12 @@ def invariant_sublattice(action: CharacterAction) -> Sublattice:
     r = action.modulus
     if n == 0:
         raise ValueError("character action needs at least one weight")
-    _, _, d, _, vinv = _snf_with_inverses([list(action.weights)])
-    g = d[0][0]  # gcd of the weights (non-negative)
-    s = r // gcd(r, g)  # gcd(r, 0) == r, so w = 0 gives index 1
-    # columns of vinv satisfy w @ vinv = (+-g, 0, ..., 0); scale the first
-    cols = transpose(vinv)
-    cols[0] = [s * x for x in cols[0]]
-    basis = hermite_column_basis(cols)
-    return Sublattice(n, basis, s)
+    # The rows (w_i, unit_i) and (r, 0, ..., 0) span {(w.e + rk, e)}.  Below
+    # its first row, the Hermite form of that lattice is the kernel, already
+    # in canonical form.
+    rows = [[w] + unit for w, unit in zip(action.weights, identity(n))] + [[r] + [0] * n]
+    kernel = [row[1:] for row in _hnf_rows(rows)[1:]]
+    return Sublattice(n, _freeze(transpose(kernel)), r // gcd(r, *action.weights))
 
 
 def rewrite_in_sublattice(f: LaurentPoly, s: Sublattice,
@@ -370,27 +354,13 @@ def rewrite_in_sublattice(f: LaurentPoly, s: Sublattice,
 # linear congruences (deck-character solving)
 # ---------------------------------------------------------------------------
 
-def _congruences_consistent(rows: list[list[int]], targets: list[int], r: int) -> bool:
-    """Does E w = t (mod r) admit a solution?"""
-    m = len(rows)
-    width = len(rows[0]) if rows and rows[0] else 0
-    if width == 0:
-        return all(t % r == 0 for t in targets)
-    _, uinv, d, _, _ = _snf_with_inverses(rows)
-    s = mat_vec(uinv, targets)
-    for i in range(m):
-        di = d[i][i] if i < min(m, width) else 0
-        if s[i] % gcd(di, r) != 0:
-            return False
-    return True
-
-
 def solve_character(exponents: Sequence[Sequence[int]], targets: Sequence[int], r: int) -> tuple[int, ...]:
     """Lexicographically smallest w in [0, r)^n with w.e = t_e (mod r) for all e.
 
-    Coordinates are fixed greedily; feasibility of each partial assignment is
-    decided by a Smith-form consistency check, so no enumeration of the full
-    solution space happens.
+    Coordinates are fixed greedily.  E w = t (mod r) is solvable iff t lies in
+    the lattice spanned by the columns of E and r Z^m, which holds iff adding
+    t leaves that lattice's Hermite form unchanged; so no enumeration of the
+    full solution space happens.
     """
     rows = [list(map(int, e)) for e in exponents]
     t = [int(x) % r for x in targets]
@@ -399,18 +369,23 @@ def solve_character(exponents: Sequence[Sequence[int]], targets: Sequence[int], 
     n = len(rows[0]) if rows else 0
     if any(len(row) != n for row in rows):
         raise RankMismatchError("exponents of unequal length")
-    if not _congruences_consistent(rows, t, r):
+    moduli = [[r * x for x in unit] for unit in identity(len(t))]
+
+    def span(k: int) -> list[list[int]]:  # columns k, k+1, ... of E, and r Z^m
+        return _hnf_rows(transpose([row[k:] for row in rows]) + moduli)
+
+    lattice = span(0)
+    if _hnf_rows(lattice + [t]) != lattice:
         raise CharacterSolveError(
             "no character reproduces the divisor degrees modulo the cover degree")
     w: list[int] = []
-    for _ in range(n):
-        rest = [row[1:] for row in rows]
+    for k in range(n):
+        lattice = span(k + 1)
         for v in range(r):
-            t_next = [(ti - v * row[0]) % r for ti, row in zip(t, rows)]
-            if _congruences_consistent(rest, t_next, r):
+            t_next = [(ti - v * row[k]) % r for ti, row in zip(t, rows)]
+            if _hnf_rows(lattice + [t_next]) == lattice:
                 w.append(v)
                 t = t_next
-                rows = rest
                 break
         else:  # pragma: no cover - guarded by the up-front consistency check
             raise CharacterSolveError("internal inconsistency while fixing coordinates")

@@ -128,6 +128,19 @@ MALFORMED = [
      2, ["--boundary", "'q'"]),
     ("tangency-multiplicities", ["tangency", *EXPR2, "-r", "3", "--boundary", "1,2",
                                  "--multiplicities", "0,1.5"], 2, ["--multiplicities", "'1.5'"]),
+    ("quotient-basis-ragged", ["quotient", *EXPR2, "--weights", "1,1", "-r", "2",
+                               "--basis", "1,1;1"], 2, ["--basis", "independent columns"]),
+    ("quotient-basis-three-columns", ["quotient", *EXPR2, "--weights", "1,1", "-r", "2",
+                                      "--basis", "1,1;1,-1;2,0"], 2, ["--basis"]),
+    ("cover-basis-ragged", ["cover", "--spec", dict(COVER, basis=[[1, 1], [1]])],
+     2, ["cover spec", "'basis'"]),
+    ("quotient-weights-length", ["quotient", *EXPR2, "--weights", "1", "-r", "2"],
+     2, ["--weights", "expected 2 values"]),
+    ("quotient-new-vars-length", ["quotient", *EXPR2, "--weights", "0,0", "-r", "2",
+                                  "--new-vars", "u"], 2, ["--new-vars", "expected 2 values"]),
+    ("eval-point-length", ["eval", *EXPR2, "--point", "1"], 2, ["--point", "expected 2 values"]),
+    ("tangency-boundary-length", ["tangency", *EXPR2, "-r", "3", "--boundary", "1", "--smooth"],
+     2, ["--boundary", "expected 2 values"]),
 ]
 
 

@@ -109,6 +109,7 @@ def test_invariant_sublattice_properties(seed, n, r):
     action = CharacterAction(w, r)
     sub = invariant_sublattice(action)
     assert abs(det(sub.basis)) == sub.index
+    assert sub.basis == hermite_column_basis(sub.columns)
     for col in sub.columns:
         assert action.fixes(col)
     # any random invariant vector is a member
@@ -137,6 +138,15 @@ def test_membership_solves_integer_system():
 def test_membership_parity_obstruction():
     sub = Sublattice.from_columns([(2, 0), (0, 1)])
     assert sub.membership((1, 0)) is None
+
+
+def test_same_lattice():
+    sub = Sublattice.from_columns([(2, 0), (0, 1)])
+    assert sub.same_lattice(Sublattice.from_columns([(2, 1), (0, 1)]))
+    # same index, different lattice
+    assert not sub.same_lattice(Sublattice.from_columns([(1, 0), (0, 2)]))
+    # different ambient rank
+    assert not Sublattice.full(2).same_lattice(Sublattice.full(3))
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +220,26 @@ def test_solve_character_inconsistent():
 
 def test_solve_character_is_lex_minimal():
     rng = random.Random(5)
-    for _ in range(40):
+    for i in range(80):
         n = rng.randint(1, 3)
         r = rng.randint(2, 4)
         w_true = tuple(rng.randrange(r) for _ in range(n))
         support = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))]
-        targets = [sum(a * b for a, b in zip(w_true, e)) % r for e in support]
-        got = solve_character(support, targets, r)
+        if i % 2:  # targets that need not be consistent
+            targets = [rng.randrange(r) for _ in support]
+        else:
+            targets = [sum(a * b for a, b in zip(w_true, e)) % r for e in support]
         brute = min(
             (w for w in _all_vectors(n, r)
              if all(sum(a * b for a, b in zip(w, e)) % r == t
                     for e, t in zip(support, targets))),
+            default=None,
         )
-        assert got == brute
+        if brute is None:
+            with pytest.raises(CharacterSolveError):
+                solve_character(support, targets, r)
+        else:
+            assert solve_character(support, targets, r) == brute
 
 
 def _all_vectors(n, r):
