@@ -64,13 +64,16 @@ def _csv_flag(text: str, flag: str, item=int, length: int | None = None) -> list
     a value ``item`` rejects, or a count other than ``length``, is a ValueError
     naming the flag."""
     try:
-        values = [item(x) for x in _split_csv(text)]
+        return spec_list(item, length)(_split_csv(text))
     except ValueError as exc:
         raise ValueError(f"bad value for {flag}: {exc}") from None
-    if length is not None and len(values) != length:
-        raise ValueError(f"bad value for {flag}: expected {length} values "
-                         f"(one per variable), got {len(values)}")
-    return values
+
+
+def _max_power(args) -> int:
+    """The -K flag, which bounds k in c_k and so may not be negative."""
+    if args.max_power < 0:
+        raise ValueError(f"-K must be nonnegative, got {args.max_power}")
+    return args.max_power
 
 
 def _json_object(path: str) -> dict:
@@ -139,11 +142,12 @@ def _cmd_eval(args):
 
 def _cmd_period(args):
     expr, varnames, raw = _expr_inputs(args)
+    up_to = _max_power(args)
     # "strategy" stays in the hashed inputs so that period provenance hashes
     # are the same as those of releases that had a --strategy flag.
-    raw.update({"K": args.max_power, "strategy": "incremental"})
+    raw.update({"K": up_to, "strategy": "incremental"})
     f = parse_poly(expr, varnames)
-    seq = period_sequence(f, args.max_power)
+    seq = period_sequence(f, up_to)
     result = {"coeffs": [_frac_json(c) for c in seq.coeffs], "max_power": seq.max_power}
     lines = ["k    c_k", "-" * 24]
     lines += [f"{k:<4d} {c}" for k, c in enumerate(seq.coeffs)]
@@ -271,7 +275,7 @@ def _cmd_tangency(args):
     expr = spec_field(data, "potential" if args.spec else "expr", str, where)
     varnames = spec_field(data, "vars", spec_list(str), where)
     r = spec_field(data, "r", int, where)
-    boundary = spec_field(data, "boundary", spec_list(int), where)
+    boundary = spec_field(data, "boundary", spec_list(int, len(varnames)), where)
     mults = spec_field(data, "multiplicities", spec_list(int), where, None)
     desc = spec_field(data, "descendant", spec_fraction, where, None)
     smooth = spec_field(data, "smooth", bool, where, False)
@@ -288,10 +292,11 @@ def _cmd_tangency(args):
 def _cmd_compare(args):
     expr, varnames, raw = _expr_inputs(args)
     expr2 = _read_expr(args.expr2)
-    raw.update({"expr2": expr2, "K": args.max_power})
+    up_to = _max_power(args)
+    raw.update({"expr2": expr2, "K": up_to})
     f = parse_poly(expr, varnames)
     g = parse_poly(expr2, varnames)
-    report = check_period_invariance(f, g, args.max_power)
+    report = check_period_invariance(f, g, up_to)
     result = {
         "passed": report.passed,
         "rows": [
@@ -309,11 +314,14 @@ def _cmd_compare(args):
 
 def _cmd_check_weak_lg(args):
     expr, varnames, raw = _expr_inputs(args)
+    up_to = _max_power(args)
+    if not 0 <= args.k_min <= up_to:  # an empty range would pass with nothing compared
+        raise ValueError(f"--k-min must lie in 0..{up_to} (the -K bound), got {args.k_min}")
     reference = ingest_reference(args.reference)
     raw.update({"reference": [_frac_json(c) for c in reference.coeffs],
-                "K": args.max_power, "k_min": args.k_min})
+                "K": up_to, "k_min": args.k_min})
     f = parse_poly(expr, varnames)
-    report = is_weak_lg(f, reference, args.max_power, k_min=args.k_min)
+    report = is_weak_lg(f, reference, up_to, k_min=args.k_min)
     result = {
         "k_min": args.k_min,
         "passed": report.passed,

@@ -320,7 +320,8 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
     potential = parse_poly(spec_field(data, "potential", str, where), varnames)
     fun = spec_field(data, "functional", spec_object, where)
     functional = DivisorFunctional(
-        tuple(spec_field(fun, "linear", spec_list(spec_fraction), f"{where}: functional")),
+        tuple(spec_field(fun, "linear", spec_list(spec_fraction, len(varnames)),
+                         f"{where}: functional")),
         spec_field(fun, "constant", spec_fraction, f"{where}: functional"),
     )
     r = spec_field(data, "r", int, where)
@@ -333,6 +334,6 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
         return columns
 
     basis = spec_field(data, "basis", basis_columns, where, None)
-    qvars = spec_field(data, "quotient_vars", spec_list(str), where, None)
+    qvars = spec_field(data, "quotient_vars", spec_list(str, len(varnames)), where, None)
     return spec, basis, qvars
 

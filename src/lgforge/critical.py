@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .laurent import LaurentPoly
 
 
@@ -69,12 +67,16 @@ class CriticalValueSet:
 
 def _entry(items, weight) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``items`` with nonzero weight(e), and the exact weight(e) * c rounded."""
+    import numpy as np
+
     rows = [k for k, (e, _) in enumerate(items) if weight(e)]
     coeffs = [complex(weight(items[k][0]) * items[k][1]) for k in rows]
     return np.array(rows, dtype=np.intp), np.array(coeffs, dtype=complex)
 
 
 def _evaluate(m: np.ndarray, entries) -> np.ndarray:
+    import numpy as np
+
     return np.array([m[rows] @ coeffs for rows, coeffs in entries])
 
 
@@ -86,6 +88,8 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
     points are re-checked exactly, canonically sorted, and deduplicated within
     ``DEDUPE_RADIUS`` in the max-norm.
     """
+    import numpy as np  # here, not at module level: no other command pays its import
+
     n = f.rank
     grads = log_gradient(f)
     if all(g.is_zero() for g in grads):

@@ -93,8 +93,5 @@ def substitution_from_dict(data: dict) -> Substitution:
     from .parsing import parse, spec_field, spec_list
 
     varnames = spec_field(data, "vars", spec_list(str), "substitution")
-    images = [parse(text, varnames)
-              for text in spec_field(data, "images", spec_list(str), "substitution")]
-    if len(images) != len(varnames):
-        raise ValueError("one image per variable is required")
-    return Substitution(tuple(images))
+    texts = spec_field(data, "images", spec_list(str, len(varnames)), "substitution")
+    return Substitution(tuple(parse(text, varnames) for text in texts))

@@ -182,11 +182,14 @@ def spec_field(data: dict, key: str, convert: Callable[[Any], Any], where: str,
         raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
 
 
-def spec_list(item: Callable[[Any], Any]) -> Callable[[Any], list]:
-    """Converter for a JSON list, passing each entry through ``item``."""
+def spec_list(item: Callable[[Any], Any], length: int | None = None) -> Callable[[Any], list]:
+    """Converter for a JSON list, passing each entry through ``item``; with
+    ``length`` (the number of variables), a list of any other length is rejected."""
     def convert(value) -> list:
         if not isinstance(value, list):
             raise TypeError("expected a list")
+        if length is not None and len(value) != length:
+            raise ValueError(f"expected {length} values (one per variable), got {len(value)}")
         return [item(v) for v in value]
     return convert
 

@@ -163,8 +163,11 @@ def is_weak_lg(f: LaurentPoly, reference: PeriodSequence, up_to: int,
     """Compare constant terms of powers of ``f`` against a reference sequence.
 
     Mismatches are reported row by row, not raised; the overall flag is true
-    only when every k in [k_min, up_to] matches exactly.
+    only when every k in [k_min, up_to] matches exactly.  An empty or negative
+    range is a ValueError, so a report never passes with nothing compared.
     """
+    if not 0 <= k_min <= up_to:
+        raise ValueError(f"k range {k_min}..{up_to} is empty or negative")
     if reference.max_power < up_to:
         raise SequenceRangeError(
             f"reference covers k <= {reference.max_power}, need {up_to}")

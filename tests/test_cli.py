@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,3 +163,35 @@ def test_version_flag():
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+# Runs in a fresh interpreter: every non-crit golden command, then one small
+# crit search, through lgforge.cli.main; prints the exit codes and whether
+# numpy was loaded after each stage.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from pathlib import Path
+from lgforge.cli import main
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+manifest = json.loads(Path("cases/golden_manifest.json").read_text())
+codes = [run(e["argv"]) for e in manifest if e["argv"][0] != "crit"]
+exact = "numpy" in sys.modules
+codes.append(run(["crit", "--expr", "x + 1/x", "--vars", "x", "--starts", "2"]))
+print(json.dumps({"codes": codes, "exact": exact, "crit": "numpy" in sys.modules}))
+"""
+
+
+def test_only_crit_imports_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["codes"] == [0] * (sum(e["argv"][0] != "crit" for e in MANIFEST) + 1)
+    assert not seen["exact"], "a command other than crit imported numpy"
+    assert seen["crit"]

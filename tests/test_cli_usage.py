@@ -141,6 +141,21 @@ MALFORMED = [
     ("eval-point-length", ["eval", *EXPR2, "--point", "1"], 2, ["--point", "expected 2 values"]),
     ("tangency-boundary-length", ["tangency", *EXPR2, "-r", "3", "--boundary", "1", "--smooth"],
      2, ["--boundary", "expected 2 values"]),
+    ("cover-quotient-vars-length", ["cover", "--spec", dict(COVER, quotient_vars=["u", "v"])],
+     2, ["cover spec", "'quotient_vars'", "expected 1 values"]),
+    ("cover-functional-linear-length", ["cover", "--spec", dict(
+        COVER, functional={"linear": ["0", "1"], "constant": "1"})],
+     2, ["functional", "'linear'", "expected 1 values"]),
+    ("tangency-spec-boundary-length", ["tangency", "--spec", dict(TANGENCY, boundary=[1, 2, 0])],
+     2, ["'boundary'", "expected 2 values"]),
+    ("weak-lg-k-min-above-K", ["check-weak-lg", *EXPR2, "-K", "4", "--k-min", "9",
+                               "--reference", "cases/p2_reference.json"], 2, ["--k-min"]),
+    ("weak-lg-k-min-negative", ["check-weak-lg", *EXPR2, "-K", "4", "--k-min", "-3",
+                                "--reference", "cases/p2_reference.json"], 2, ["--k-min"]),
+    ("weak-lg-K-negative", ["check-weak-lg", *EXPR2, "-K", "-1",
+                            "--reference", "cases/p2_reference.json"], 2, ["-K"]),
+    ("period-K-negative", ["period", *EXPR, "-K", "-1"], 2, ["-K"]),
+    ("compare-K-negative", ["compare", *EXPR, "--expr2", "x + 2/x", "-K", "-2"], 2, ["-K"]),
 ]
 
 

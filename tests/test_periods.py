@@ -110,6 +110,13 @@ def test_weak_lg_requires_coverage():
         is_weak_lg(f, short, 8)
 
 
+@pytest.mark.parametrize("k_min, up_to", [(9, 4), (-3, 4), (0, -1)])
+def test_weak_lg_rejects_an_empty_or_negative_range(k_min, up_to):
+    f = parse_poly("x + 1/x", ["x"])
+    with pytest.raises(ValueError, match="empty or negative"):
+        is_weak_lg(f, period_sequence(f, 4), up_to, k_min=k_min)
+
+
 # ---------------------------------------------------------------------------
 # ingestion
 # ---------------------------------------------------------------------------
