@@ -252,6 +252,9 @@ def _cmd_mutate(args):
     raw["substitution"] = sub_data
     f = parse_poly(expr, varnames)
     sub = substitution_from_dict(sub_data)
+    if len(sub.images) != f.rank:
+        raise ValueError(f"{args.sub}: bad value for 'vars': expected {f.rank} values "
+                         f"(one per --vars name), got {len(sub.images)}")
     image = apply_substitution(f, sub)
     result = {"image": image.render(), "vars": list(image.varnames)}
     lines = [f"image: {result['image']}"]

@@ -145,7 +145,10 @@ def build_cover_potential(spec: CoverSpec, *,
             f"cover potential has non-invariant exponents {bad}; inputs are inconsistent")
     lattice = invariant_sublattice(action)
     if basis is not None:
-        lattice = lattice.rebased(basis)
+        try:  # columns that do not span the derived lattice
+            lattice = lattice.rebased(basis)
+        except ValueError as exc:
+            raise ValueError(f"cover spec: bad value for 'basis': {exc}") from None
     quotient = rewrite_in_sublattice(upstairs, lattice, varnames=quotient_varnames)
     return CoverResult(upstairs, action, quotient, lattice)
 
@@ -329,8 +332,9 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
     spec = CoverSpec(potential, functional, r, descendant)
 
     def basis_columns(value) -> list[list[int]]:
-        columns = spec_list(spec_list(int))(value)
-        Sublattice.from_columns(columns)  # a ragged or dependent basis fails here, naming its key
+        n = len(varnames)
+        columns = spec_list(spec_list(int, n), n)(value)
+        Sublattice.from_columns(columns)  # a dependent basis fails here, naming its key
         return columns
 
     basis = spec_field(data, "basis", basis_columns, where, None)

@@ -1,9 +1,11 @@
 """Integer matrix normal forms and finite-index sublattices of Z^n.
 
-Everything here is exact and runs on Python integers.  The row Hermite form
-gives invariant sublattices, deck-character feasibility and basis equality;
-sublattice coordinates come from the adjugate; the Smith form is a public
-utility that no internal path uses.  The geometric purpose is rewriting
+Everything here is exact and runs on Python integers, and one elimination,
+the row Hermite form, serves every routine: invariant sublattices,
+deck-character feasibility, basis equality and sublattice indices read it
+directly; sublattice coordinates and unimodular inverses come from the
+Hermite form of [A | I], which carries the transform; the Smith form
+alternates it on rows and columns.  The geometric purpose is rewriting
 deck-invariant Laurent polynomials in a basis of the invariant sublattice of
 a cyclic character action (the quotient-torus coordinate change).
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 from .errors import CharacterSolveError, NotInSublatticeError, RankMismatchError
@@ -34,153 +36,16 @@ def transpose(a: Sequence[Sequence[int]]) -> list[list[int]]:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def det(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise RankMismatchError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    m = [list(map(int, r)) for r in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def adjugate(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(a)
-    if n == 1:
-        return [[1]]
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            out[j][i] = (-1) ** (i + j) * det(minor)
-    return out
-
-
-def unimodular_inverse(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    d = det(a)
-    if abs(d) != 1:
-        raise ValueError("matrix is not unimodular")
-    adj = adjugate(a)
-    return [[x * d for x in row] for row in adj]  # d in {1,-1}
-
-
 def _freeze(a: Sequence[Sequence[int]]) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in a)
 
 
-# ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SNFDecomposition:
-    """A = U * D * V with U, V unimodular and D diagonal, d1 | d2 | ..."""
-
-    U: Matrix
-    D: Matrix
-    V: Matrix
-
-
-def smith_normal_form(a: Sequence[Sequence[int]]) -> SNFDecomposition:
-    """Smith normal form A = U D V of any rectangular integer matrix.
-
-    U and V are tracked through the elementary operations, so no matrix
-    inversion is needed.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d = [list(map(int, row)) for row in a]
-    u, v = identity(m), identity(n)
-
-    def row_add(i, j, q):  # row_i += q * row_j
-        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
-        for r in range(m):
-            u[r][j] -= q * u[r][i]
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        for r in range(m):
-            u[r][i], u[r][j] = u[r][j], u[r][i]
-
-    def row_neg(i):
-        d[i] = [-x for x in d[i]]
-        for r in range(m):
-            u[r][i] = -u[r][i]
-
-    def col_add(i, j, q):  # col_j += q * col_i
-        for r in range(m):
-            d[r][j] += q * d[r][i]
-        v[i] = [x - q * y for x, y in zip(v[i], v[j])]
-
-    def col_swap(i, j):
-        for r in range(m):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        v[i], v[j] = v[j], v[i]
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            row_swap(t, pivot[0])
-        if pivot[1] != t:
-            col_swap(t, pivot[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    row_add(i, t, -q)
-                    if d[i][t] != 0:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    col_add(t, j, -q)
-                    if d[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty and all(d[i][t] == 0 for i in range(t + 1, m)) \
-                    and all(d[t][j] == 0 for j in range(t + 1, n)):
-                break
-        # pivot must divide everything that remains, or the chain breaks later
-        stained = False
-        for i in range(t + 1, m):
-            if any(d[i][j] % d[t][t] != 0 for j in range(t + 1, n)):
-                row_add(t, i, 1)
-                stained = True
-                break
-        if stained:
-            continue
-        if d[t][t] < 0:
-            row_neg(t)
-        t += 1
-    return SNFDecomposition(_freeze(u), _freeze(d), _freeze(v))
+def _mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 # ---------------------------------------------------------------------------
-# Hermite normal form (canonical bases, kernels, membership, equality)
+# Hermite normal form: the one elimination every routine here is built on
 # ---------------------------------------------------------------------------
 
 def _hnf_rows(mat: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -218,10 +83,80 @@ def _hnf_rows(mat: Sequence[Sequence[int]]) -> list[list[int]]:
     return [row for row in rows[:r]]
 
 
+def _hnf_transform(a: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(H, T) for an m x n matrix ``a``: T is unimodular and T a = H, the row
+    Hermite form of ``a`` padded with zero rows to m rows.
+
+    [a | I] has full row rank, so its Hermite form keeps all m rows, and it
+    is [H | T].
+    """
+    rows = _hnf_rows([list(row) + unit for row, unit in zip(a, identity(len(a)))])
+    return [row[:n] for row in rows], [row[n:] for row in rows]
+
+
 def hermite_column_basis(columns: Sequence[Sequence[int]]) -> Matrix:
     """Canonical basis (as matrix columns) of the lattice spanned by ``columns``."""
     reduced = _hnf_rows([list(c) for c in columns])
     return _freeze(transpose(reduced))
+
+
+def unimodular_inverse(a: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer inverse of a square matrix; a ValueError unless |det a| = 1."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise RankMismatchError("inverse of a non-square matrix")
+    h, t = _hnf_transform(a, n)
+    if h != identity(n):
+        raise ValueError("matrix is not unimodular")
+    return t
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SNFDecomposition:
+    """A = U * D * V with U, V unimodular and D diagonal, d1 | d2 | ..."""
+
+    U: Matrix
+    D: Matrix
+    V: Matrix
+
+
+def smith_normal_form(a: Sequence[Sequence[int]]) -> SNFDecomposition:
+    """Smith normal form A = U D V of any rectangular integer matrix.
+
+    Row Hermite forms alternate with Hermite forms of the transpose until D
+    is diagonal (Kannan-Bachem).  Where d_i does not divide a later d_j,
+    column j is added to column i, and the next row pass puts gcd(d_i, d_j)
+    in its place.  The transforms accumulate into unimodular L and R with
+    L A R = D, so U and V are their inverses.  D is unique; U and V are one
+    valid choice.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if any(len(row) != n for row in a):
+        raise RankMismatchError("Smith form of a matrix with rows of unequal length")
+    d = [list(map(int, row)) for row in a]
+    left, right = identity(m), identity(n)
+    while m and n:
+        d, t = _hnf_transform(d, n)
+        left = _mul(t, left)
+        d_t, t = _hnf_transform(transpose(d), m)
+        d, right = transpose(d_t), _mul(right, transpose(t))
+        if any(d[i][j] for i in range(m) for j in range(n) if i != j):
+            continue
+        k = min(m, n)
+        stain = next(((i, j) for i in range(k) for j in range(i + 1, k)
+                      if gcd(d[i][i], d[j][j]) != d[i][i]), None)
+        if stain is None:
+            break
+        i, j = stain
+        for row in d + right:
+            row[i] += row[j]
+    return SNFDecomposition(_freeze(unimodular_inverse(left)), _freeze(d),
+                            _freeze(unimodular_inverse(right)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +205,10 @@ class Sublattice:
         n = len(cols[0]) if cols else 0
         if len(cols) != n or any(len(c) != n for c in cols):
             raise ValueError("a sublattice basis needs n independent columns in Z^n")
-        matrix = _freeze(transpose(cols))
-        d = det(matrix)
-        if d == 0:
+        reduced = _hnf_rows(cols)
+        if len(reduced) < n:
             raise ValueError("basis columns are linearly dependent")
-        return cls(n, matrix, abs(d))
+        return cls(n, _freeze(transpose(cols)), prod(row[i] for i, row in enumerate(reduced)))
 
     @classmethod
     def full(cls, n: int) -> "Sublattice":
@@ -289,13 +223,14 @@ class Sublattice:
         if len(e) != self.ambient_rank:
             raise RankMismatchError(
                 f"vector of length {len(e)} in ambient rank {self.ambient_rank}")
-        d, adj = _solve_data(self.basis)
-        coords = []
-        for row in adj:
-            num = sum(a * x for a, x in zip(row, e))
-            if num % d != 0:
+        h, t = _solve_data(self.basis)
+        coords = [0] * self.ambient_rank
+        for i in reversed(range(self.ambient_rank)):  # back-substitute H c = T e
+            num = sum(a * x for a, x in zip(t[i], e)) - sum(
+                a * c for a, c in zip(h[i], coords))  # coords[:i + 1] are still 0
+            if num % h[i][i] != 0:
                 return None
-            coords.append(num // d)
+            coords[i] = num // h[i][i]
         return tuple(coords)
 
     def same_lattice(self, other: "Sublattice") -> bool:
@@ -310,8 +245,9 @@ class Sublattice:
 
 
 @lru_cache(maxsize=256)
-def _solve_data(basis: Matrix) -> tuple[int, list[list[int]]]:
-    return det(basis), adjugate(basis)
+def _solve_data(basis: Matrix) -> tuple[list[list[int]], list[list[int]]]:
+    """(H, T) with T basis = H upper triangular, for solving basis @ c = e."""
+    return _hnf_transform(basis, len(basis))
 
 
 def invariant_sublattice(action: CharacterAction) -> Sublattice:

@@ -133,3 +133,18 @@ def mat_det(a) -> int:
         minor = [row[:j] + row[j + 1:] for row in a[1:]]
         total += (-1) ** j * a[0][j] * mat_det(minor)
     return total
+
+
+def fraction_solve(a, b) -> list[Fraction]:
+    """The solution x of a x = b for a nonsingular square a, by Gauss-Jordan
+    elimination over the rationals."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if m[i][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                q = m[i][col] / m[col][col]
+                m[i] = [x - q * y for x, y in zip(m[i], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]

@@ -134,6 +134,12 @@ MALFORMED = [
                                       "--basis", "1,1;1,-1;2,0"], 2, ["--basis"]),
     ("cover-basis-ragged", ["cover", "--spec", dict(COVER, basis=[[1, 1], [1]])],
      2, ["cover spec", "'basis'"]),
+    ("cover-basis-dimension", ["cover", "--spec", dict(COVER, basis=[[1, 0], [0, 1]])],
+     2, ["cover spec", "'basis'", "expected 1 values"]),
+    ("cover-basis-not-spanning", ["cover", "--spec", dict(COVER, basis=[[1]])],
+     2, ["cover spec", "'basis'", "do not span"]),
+    ("sub-vars-count", ["mutate", *EXPR, "--sub", {"vars": ["x", "y"], "images": ["y", "x"]}],
+     2, ["{tmp}/input6.json", "'vars'", "expected 1 values"]),
     ("quotient-weights-length", ["quotient", *EXPR2, "--weights", "1", "-r", "2"],
      2, ["--weights", "expected 2 values"]),
     ("quotient-new-vars-length", ["quotient", *EXPR2, "--weights", "0,0", "-r", "2",

@@ -9,6 +9,7 @@ from lgforge import (
     CharacterSolveError,
     LaurentPoly,
     NotInSublatticeError,
+    RankMismatchError,
     Sublattice,
     invariant_sublattice,
     parse_poly,
@@ -16,7 +17,7 @@ from lgforge import (
     smith_normal_form,
     solve_character,
 )
-from lgforge.lattice import det, hermite_column_basis
+from lgforge.lattice import hermite_column_basis, unimodular_inverse
 
 import oracles
 
@@ -31,7 +32,7 @@ def assert_valid_snf(a):
     assert oracles.mat_mul(oracles.mat_mul(u, d), v) == [list(r) for r in a]
     assert abs(oracles.mat_det(u)) == 1
     assert abs(oracles.mat_det(v)) == 1
-    diag = [d[i][i] for i in range(len(d))]
+    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
     for i in range(len(d)):
         for j in range(len(d[0])):
             if i != j:
@@ -74,6 +75,51 @@ def test_snf_random(seed, n):
     assert_valid_snf(a)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 4), st.integers(0, 4))
+def test_snf_rectangular(seed, m, n, rank):
+    # an m x k times k x n product has rank at most k, so k < min(m, n)
+    # gives rank-deficient inputs
+    rng = random.Random(seed)
+    k = min(rank, m, n)
+    x = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+    y = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+    a = oracles.mat_mul(x, y) if k else [[0] * n for _ in range(m)]
+    diag = assert_valid_snf(a)
+    assert sum(1 for v in diag if v) <= k
+
+
+@pytest.mark.parametrize("a", [[[1, 2], [3]], [[1], [2, 3]]], ids=["short-row", "long-row"])
+def test_snf_rejects_ragged_rows(a):
+    with pytest.raises(RankMismatchError):
+        smith_normal_form(a)
+
+
+# ---------------------------------------------------------------------------
+# unimodular inverses
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+def test_unimodular_inverse(seed, n):
+    a = oracles.random_unimodular(random.Random(seed), n)
+    assert oracles.mat_mul(unimodular_inverse(a), a) == [
+        [1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("a", [[[1, 2], [2, 4]], [[1, 2], [3, 4]], [[2]]],
+                         ids=["singular", "det-2", "scalar-2"])
+def test_unimodular_inverse_rejects_non_unimodular(a):
+    with pytest.raises(ValueError):
+        unimodular_inverse(a)
+
+
+@pytest.mark.parametrize("a", [[[1, 2]], [[1, 2], [3]]], ids=["wide", "ragged"])
+def test_unimodular_inverse_rejects_non_square(a):
+    with pytest.raises(RankMismatchError):
+        unimodular_inverse(a)
+
+
 # ---------------------------------------------------------------------------
 # invariant sublattices
 # ---------------------------------------------------------------------------
@@ -87,7 +133,7 @@ def test_trivial_action_gives_full_lattice():
 def test_diagonal_action():
     sub = invariant_sublattice(CharacterAction((1, 1), 2))
     assert sub.index == 2
-    assert abs(det(sub.basis)) == 2
+    assert abs(oracles.mat_det(sub.basis)) == 2
     # the columns named in the worked example span the same lattice
     assert sub.membership((-1, -1)) is not None
     assert sub.membership((1, -1)) is not None
@@ -108,7 +154,7 @@ def test_invariant_sublattice_properties(seed, n, r):
     w = tuple(rng.randrange(r) for _ in range(n))
     action = CharacterAction(w, r)
     sub = invariant_sublattice(action)
-    assert abs(det(sub.basis)) == sub.index
+    assert abs(oracles.mat_det(sub.basis)) == sub.index
     assert sub.basis == hermite_column_basis(sub.columns)
     for col in sub.columns:
         assert action.fixes(col)
@@ -138,6 +184,25 @@ def test_membership_solves_integer_system():
 def test_membership_parity_obstruction():
     sub = Sublattice.from_columns([(2, 0), (0, 1)])
     assert sub.membership((1, 0)) is None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+def test_membership_on_random_bases(seed, n):
+    rng = random.Random(seed)
+    basis = [[0]]
+    while oracles.mat_det(basis) == 0:
+        basis = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    sub = Sublattice.from_columns([list(col) for col in zip(*basis)])
+    assert sub.index == abs(oracles.mat_det(basis))
+    coords = [rng.randint(-5, 5) for _ in range(n)]
+    e = [sum(b * c for b, c in zip(row, coords)) for row in basis]
+    assert sub.membership(e) == tuple(coords)
+    for _ in range(6):
+        e = [rng.randint(-8, 8) for _ in range(n)]
+        exact = oracles.fraction_solve(basis, e)
+        integral = all(x.denominator == 1 for x in exact)
+        assert sub.membership(e) == (tuple(int(x) for x in exact) if integral else None)
 
 
 def test_same_lattice():
