@@ -2,9 +2,11 @@
 
 Subcommands: eval, period, cover, quotient, crit, mutate, tangency, compare,
 check-weak-lg, ledger.  Inputs come from --expr/--vars flags or from --spec
-files (file contents win on conflict, with a warning).  Output is a text table
-or stable-key-ordered JSON; for a fixed seed the JSON is byte-identical across
-runs.  Exit codes: 0 success, 1 computation error, 2 usage or parse error.
+files (file contents win on conflict, with a warning); cover and ledger read
+only --spec.  Output is a text table or stable-key-ordered JSON, byte-identical
+across runs.  Only crit is random and takes --seed; every other command is
+exact and records seed 0 in its provenance.  Exit codes: 0 success, 1
+computation error, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,11 +30,12 @@ from .cover import (
     riemann_hurwitz_lift,
     tangency_number,
 )
-from .critical import SolverOptions, critical_points, critical_values
+from .critical import MAX_ITER, TOL, SolverOptions, critical_points, critical_values
 from .errors import ExprSyntaxError, LGForgeError, ReferenceFormatError
 from .lattice import CharacterAction, invariant_sublattice, rewrite_in_sublattice
 from .mutation import apply_substitution, check_period_invariance, substitution_from_dict
-from .parsing import parse_poly, spec_field, spec_fraction, spec_list, spec_object
+from .parsing import (parse_poly, spec_bool, spec_field, spec_fraction, spec_int, spec_list,
+                      spec_object)
 from .periods import DescendantConstant, ingest_reference, is_weak_lg, period_sequence
 
 _USAGE_ERRORS = (ExprSyntaxError, ReferenceFormatError, OSError, ValueError)
@@ -87,18 +89,19 @@ def _json_object(path: str) -> dict:
     return data
 
 
-def _spec(args, required: bool = False) -> dict | None:
-    """The --spec file's JSON object, or None without --spec (an error if required).
+def _spec(args, spec_only: bool = False) -> dict | None:
+    """The --spec file's JSON object, or None without --spec.
 
-    Every spec file is read here, so this is the one place that warns when
-    --spec overrides --expr/--vars.
+    cover and ledger (``spec_only``) read nothing else, so they require it.
+    Every other command also takes --expr/--vars, and this is the one place
+    that warns when --spec overrides them.
     """
     if not args.spec:
-        if required:
+        if spec_only:
             raise ValueError("--spec is required")
         return None
     data = _json_object(args.spec)
-    if args.expr or args.vars:
+    if not spec_only and (args.expr or args.vars):
         print("warning: --spec overrides --expr/--vars", file=sys.stderr)
     return data
 
@@ -155,7 +158,7 @@ def _cmd_period(args):
 
 
 def _cmd_cover(args):
-    data = _spec(args, required=True)
+    data = _spec(args, spec_only=True)
     spec, basis, qvars = cover_spec_from_dict(data)
     res = build_cover_potential(spec, basis=basis, quotient_varnames=qvars)
     result = {
@@ -209,13 +212,10 @@ def _cmd_crit(args):
     expr, varnames, raw = _expr_inputs(args)
     if args.starts < 1:
         raise ValueError("--starts must be at least 1")
-    if args.max_iter < 1:
-        raise ValueError("--max-iter must be at least 1")
-    if not 0 < args.tol < math.inf:  # also rejects nan
-        raise ValueError("--tol must be a finite number > 0")
-    opts = SolverOptions(starts=args.starts, tol=args.tol, seed=args.seed,
-                         max_iter=args.max_iter)
-    raw.update({"starts": opts.starts, "tol": opts.tol, "max_iter": opts.max_iter})
+    opts = SolverOptions(starts=args.starts, seed=args.seed)
+    # "tol" and "max_iter" stay in the hashed inputs so that crit provenance
+    # hashes are the same as those of releases that had --tol and --max-iter.
+    raw.update({"starts": opts.starts, "tol": TOL, "max_iter": MAX_ITER})
     f = parse_poly(expr, varnames)
     search = critical_points(f, opts)
     values = critical_values(f, opts, search=search)
@@ -277,11 +277,11 @@ def _cmd_tangency(args):
         where = "command line"
     expr = spec_field(data, "potential" if args.spec else "expr", str, where)
     varnames = spec_field(data, "vars", spec_list(str), where)
-    r = spec_field(data, "r", int, where)
-    boundary = spec_field(data, "boundary", spec_list(int, len(varnames)), where)
-    mults = spec_field(data, "multiplicities", spec_list(int), where, None)
+    r = spec_field(data, "r", spec_int, where)
+    boundary = spec_field(data, "boundary", spec_list(spec_int, len(varnames)), where)
+    mults = spec_field(data, "multiplicities", spec_list(spec_int), where, None)
     desc = spec_field(data, "descendant", spec_fraction, where, None)
-    smooth = spec_field(data, "smooth", bool, where, False)
+    smooth = spec_field(data, "smooth", spec_bool, where, False)
     potential = parse_poly(expr, varnames)
     descendant = None if desc is None else DescendantConstant(r, desc)
     tau: TangencyNumber = tangency_number(
@@ -343,25 +343,50 @@ def _cmd_check_weak_lg(args):
     return result, lines, raw
 
 
+_LEDGER_CHECKS = ("maslov_positive", "monotonicity", "riemann_hurwitz", "connected")
+
+
+def _ledger_checks(data: dict, where: str) -> dict[str, dict]:
+    """The ledger checks that are on, each with its options object.
+
+    A check that is absent, null or false is off; true (no options) or an
+    options object turns it on.  Any other value, or an unknown check name,
+    is a ValueError naming ``checks.<key>``.
+    """
+    enabled = {}
+    for key, value in spec_field(data, "checks", spec_object, where, {}).items():
+        if key not in _LEDGER_CHECKS:
+            raise ValueError(f"{where}: unknown check 'checks.{key}' "
+                             f"(expected one of {', '.join(_LEDGER_CHECKS)})")
+        if value is None or value is False:
+            continue
+        if value is True:
+            value = {}
+        if not isinstance(value, dict):
+            raise ValueError(f"{where}: bad value for 'checks.{key}': "
+                             f"expected true, false, null or an object, got {value!r}")
+        enabled[key] = value
+    return enabled
+
+
 def _cmd_ledger(args):
-    data, where = _spec(args, required=True), args.spec
+    data, where = _spec(args, spec_only=True), args.spec
     classes = []
     for i, c in enumerate(spec_field(data, "classes", spec_list(spec_object), where, [])):
         at = f"{where}: classes[{i}]"
         classes.append(DiscClass(
-            half_maslov=spec_field(c, "half_maslov", int, at),
-            divisor_hits=spec_field(c, "divisor_hits", spec_list(int), at, ()),
-            boundary=spec_field(c, "boundary", spec_list(int), at, ()),
+            half_maslov=spec_field(c, "half_maslov", spec_int, at),
+            divisor_hits=spec_field(c, "divisor_hits", spec_list(spec_int), at, ()),
+            boundary=spec_field(c, "boundary", spec_list(spec_int), at, ()),
             area=spec_field(c, "area", spec_fraction, at, Fraction(1)),
         ))
-    checks = spec_field(data, "checks", spec_object, where, {})
+    checks = _ledger_checks(data, where)
     at = f"{where}: checks"
     result: dict = {}
     lines: list[str] = []
     if "maslov_positive" in checks:
-        opts = checks["maslov_positive"]
-        hits_index = (spec_field(opts, "hits_index", spec_list(int), f"{at}.maslov_positive", None)
-                      if isinstance(opts, dict) else None)
+        hits_index = spec_field(checks["maslov_positive"], "hits_index", spec_list(spec_int),
+                                f"{at}.maslov_positive", None)
         report = maslov_positive(classes, hits_index)
         result["maslov_positive"] = {
             "passed": report.passed,
@@ -372,7 +397,7 @@ def _cmd_ledger(args):
         for row in report.rows:
             lines.append(f"  mu/2 = {row.disc.half_maslov}, needs >= {row.required}: "
                          f"{'ok' if row.ok else 'VIOLATED'}")
-    if checks.get("monotonicity"):
+    if "monotonicity" in checks:
         lam = monotonicity_check(classes)
         result["monotonicity"] = {"lambda": _frac_json(lam) if lam is not None else None,
                                   "monotone": lam is not None}
@@ -381,9 +406,10 @@ def _cmd_ledger(args):
         else:
             lines.append("not monotone (no single area/Maslov ratio)")
     if "riemann_hurwitz" in checks:
-        opts = spec_field(checks, "riemann_hurwitz", spec_object, at)
-        r = spec_field(opts, "r", int, f"{at}.riemann_hurwitz")
-        hits_index = spec_field(opts, "hits_index", spec_list(int), f"{at}.riemann_hurwitz", None)
+        opts = checks["riemann_hurwitz"]
+        r = spec_field(opts, "r", spec_int, f"{at}.riemann_hurwitz")
+        hits_index = spec_field(opts, "hits_index", spec_list(spec_int), f"{at}.riemann_hurwitz",
+                                None)
         rows = []
         for disc in classes:
             lift = riemann_hurwitz_lift(disc.half_maslov, disc.hits(hits_index), r)
@@ -393,9 +419,9 @@ def _cmd_ledger(args):
                          f" ({'lifts' if lift.liftable else 'no integral lift'})")
         result["riemann_hurwitz"] = {"r": r, "rows": rows}
     if "connected" in checks:
-        opts = spec_field(checks, "connected", spec_object, at)
-        flag = cover_connected(spec_field(opts, "d_values", spec_list(int), f"{at}.connected"),
-                               spec_field(opts, "r", int, f"{at}.connected"))
+        opts, at = checks["connected"], f"{at}.connected"
+        flag = cover_connected(spec_field(opts, "d_values", spec_list(spec_int), at),
+                               spec_field(opts, "r", spec_int, at))
         result["connected"] = flag
         lines.append(f"pre-image connected: {'yes' if flag else 'no'}")
     return result, lines, data
@@ -422,13 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"lgforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_help="JSON file with {\"expr\": ..., \"vars\": [...]}"):
-        p.add_argument("--expr", help="expression text ('-' reads stdin)")
-        p.add_argument("--vars", help="comma-separated variable names")
+    def common(p, spec_help="JSON file with {\"expr\": ..., \"vars\": [...]}", expr=True):
+        if expr:
+            p.add_argument("--expr", help="expression text ('-' reads stdin)")
+            p.add_argument("--vars", help="comma-separated variable names")
         p.add_argument("--spec", help=spec_help)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("eval", help="evaluate a potential at a torus point")
     common(p)
@@ -439,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-K", "--max-power", type=int, required=True)
 
     p = sub.add_parser("cover", help="run one cyclic cover step from a spec file")
-    common(p, spec_help="cover spec JSON (potential, vars, functional, r, descendant)")
+    common(p, spec_help="cover spec JSON (potential, vars, functional, r, descendant)",
+           expr=False)
 
     p = sub.add_parser("quotient", help="rewrite a potential on an invariant sublattice")
     common(p)
@@ -450,9 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crit", help="numerical critical points and values")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random Newton starts")
     p.add_argument("--starts", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-11)
-    p.add_argument("--max-iter", type=int, default=80)
 
     p = sub.add_parser("mutate", help="apply a birational substitution")
     common(p)
@@ -478,13 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=int, default=2)
 
     p = sub.add_parser("ledger", help="disc-class checks from a JSON file")
-    common(p, spec_help="ledger JSON (classes + checks)")
+    common(p, spec_help="ledger JSON (classes + checks)", expr=False)
 
     return parser
 
 
 def _emit(command: str, result: dict, lines: list[str], raw_inputs: dict, args) -> None:
-    prov = _provenance(command, raw_inputs, args.seed)
+    prov = _provenance(command, raw_inputs, getattr(args, "seed", 0))  # only crit has --seed
     if args.format == "json":
         payload = {"command": command, "provenance": prov, "result": result}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

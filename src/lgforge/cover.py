@@ -316,7 +316,8 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
 
     A missing or malformed key raises ValueError naming it.
     """
-    from .parsing import parse_poly, spec_field, spec_fraction, spec_list, spec_object
+    from .parsing import (parse_poly, spec_field, spec_fraction, spec_int, spec_list,
+                          spec_object)
 
     where = "cover spec"
     varnames = spec_field(data, "vars", spec_list(str), where)
@@ -327,13 +328,13 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
                          f"{where}: functional")),
         spec_field(fun, "constant", spec_fraction, f"{where}: functional"),
     )
-    r = spec_field(data, "r", int, where)
+    r = spec_field(data, "r", spec_int, where)
     descendant = DescendantConstant(r, spec_field(data, "descendant", spec_fraction, where))
     spec = CoverSpec(potential, functional, r, descendant)
 
     def basis_columns(value) -> list[list[int]]:
         n = len(varnames)
-        columns = spec_list(spec_list(int, n), n)(value)
+        columns = spec_list(spec_list(spec_int, n), n)(value)
         Sublattice.from_columns(columns)  # a dependent basis fails here, naming its key
         return columns
 

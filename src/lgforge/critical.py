@@ -29,6 +29,8 @@ def log_gradient(f: LaurentPoly) -> list[LaurentPoly]:
     return out
 
 
+TOL = 1e-11  # max |theta_i f| below this ends Newton and passes the exact re-check
+MAX_ITER = 80  # Newton steps per start before the start is dropped
 START_RADIUS = 4.0  # start moduli are log-uniform in [1/START_RADIUS, START_RADIUS]
 COORD_BOUND = 1e9  # a start is dropped once some |z_i| leaves [1/COORD_BOUND, COORD_BOUND]
 DEDUPE_RADIUS = 1e-6  # points this close in the max-norm are one point
@@ -39,8 +41,6 @@ VALUE_TOL = 1e-8  # critical values this close are one value
 @dataclass(frozen=True)
 class SolverOptions:
     starts: int = 200
-    tol: float = 1e-11
-    max_iter: int = 80
     seed: int = 0
 
 
@@ -108,12 +108,12 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
         radii = np.exp(rng.uniform(-log_r, log_r, n))
         phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
         z = radii * phases
-        for _ in range(opts.max_iter):
+        for _ in range(MAX_ITER):
             m = np.prod(z[None, :] ** exps, axis=1)
             g = _evaluate(m, grad)
             if not np.all(np.isfinite(g)):
                 break
-            if np.max(np.abs(g)) < opts.tol:
+            if np.max(np.abs(g)) < TOL:
                 converged.append(z)
                 break
             h = _evaluate(m, hess).reshape(n, n)
@@ -135,7 +135,7 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
     for z in converged:
         pt = [complex(v) for v in z]
         residual = max(abs(g.evaluate(pt)) for g in grads)
-        if residual < opts.tol:
+        if residual < TOL:
             checked.append((pt, residual))
     checked.sort(key=lambda item: tuple((v.real, v.imag) for v in item[0]))
     points: list[CriticalPoint] = []

@@ -192,6 +192,9 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
+        if k and len(self._terms) <= 1:  # (c x^e)^k = c^k x^(k e), in time free of k
+            return LaurentPoly(self.rank, {tuple(k * x for x in e): c ** k
+                                           for e, c in self._terms.items()}, self.varnames)
         # Iterated multiplication, not binary powering: for sparse operands,
         # multiplying by the short factor ``self`` is usually cheaper than
         # squaring a long intermediate.  Period sequences and tangency

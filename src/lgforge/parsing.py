@@ -201,6 +201,21 @@ def spec_object(value) -> dict:
     return value
 
 
+def spec_int(value) -> int:
+    """Converter for a JSON integer; a float such as 2.5 or 2.0, a string or a
+    boolean is rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def spec_bool(value) -> bool:
+    """Converter for a JSON boolean; a string such as "false" is rejected."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def spec_fraction(value) -> Fraction:
     """Converter for a rational given as a number or a string such as "2/3"."""
     return Fraction(str(value))

@@ -16,6 +16,7 @@ from typing import Callable, Literal, Sequence
 
 from .errors import RankMismatchError, ReferenceFormatError, SequenceRangeError
 from .laurent import LaurentPoly
+from .parsing import spec_int
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ def _pair(hi: dict[int, int], lo: dict[int, int], target: int) -> int:
     return sum(c * get(target - a, 0) for a, c in small.items())
 
 
-def period_sequence(f: LaurentPoly, up_to: int, *, name: str = "") -> PeriodSequence:
+def period_sequence(f: LaurentPoly, up_to: int) -> PeriodSequence:
     """Constant terms of f**k for k = 0..up_to, exactly.
 
     One kernel: write f = g/D with g integral, build g**0..g**h for
@@ -116,7 +117,7 @@ def period_sequence(f: LaurentPoly, up_to: int, *, name: str = "") -> PeriodSequ
     for k in range(up_to + 1):
         coeffs.append(Fraction(_pair(powers[(k + 1) // 2], powers[k // 2], 0), scale))
         scale *= denom
-    return PeriodSequence(name or "computed", tuple(coeffs), "computed")
+    return PeriodSequence("computed", tuple(coeffs), "computed")
 
 
 def power_coefficient(f: LaurentPoly, r: int, t: Sequence[int]) -> Fraction:
@@ -208,16 +209,15 @@ def _assemble(pairs: list[tuple[int, Fraction]], name: str) -> PeriodSequence:
     return PeriodSequence(name, tuple(coeffs), "ingested")
 
 
-def ingest_reference(path: str | Path, fmt: str | None = None) -> PeriodSequence:
-    """Load a reference period sequence from a ``csv`` or ``json`` file.
+def ingest_reference(path: str | Path) -> PeriodSequence:
+    """Load a reference period sequence from a ``.csv`` or ``.json`` file.
 
     CSV: header ``k,coeff`` then one row per nonzero coefficient.  JSON: an
     object with ``name`` and ``coeffs``, the latter a list of [k, "coeff"]
     pairs.  Missing indices are zero-filled; c_0 defaults to 1.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = path.suffix.lstrip(".").lower()
+    fmt = path.suffix.lstrip(".").lower()
     if fmt not in ("csv", "json"):
         raise ReferenceFormatError(f"unsupported format {fmt!r}")
     text = path.read_text()
@@ -252,7 +252,9 @@ def ingest_reference(path: str | Path, fmt: str | None = None) -> PeriodSequence
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ReferenceFormatError(f"bad coeffs entry {entry!r}")
         k, raw = entry
-        if not isinstance(k, int):
-            raise ReferenceFormatError(f"bad index {k!r}")
+        try:
+            k = spec_int(k)
+        except TypeError:
+            raise ReferenceFormatError(f"bad index {k!r}") from None
         pairs.append((k, _parse_coeff(str(raw), None)))
     return _assemble(pairs, str(data.get("name", path.stem)))

@@ -1,13 +1,15 @@
+import argparse
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from lgforge.cli import main
+from lgforge.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = json.loads((ROOT / "cases" / "golden_manifest.json").read_text())
@@ -159,6 +161,71 @@ def test_tangency_flag_mode_hash_is_pinned(capsys):
         "b43f9a975e0a8ba24b2885e81763971ec0078409e146aaec2da3e7d3bfe2a4b1")
 
 
+def test_ledger_check_off_values_skip_the_check(tmp_path, capsys):
+    spec = tmp_path / "ledger.json"
+    spec.write_text(json.dumps({
+        "classes": [{"half_maslov": 1, "divisor_hits": [1], "area": "1/2"}],
+        "checks": {"maslov_positive": False, "connected": None, "riemann_hurwitz": False,
+                   "monotonicity": True},
+    }))
+    rc, out = run_cli(["ledger", "--spec", str(spec), "--format", "json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["result"] == {"monotonicity": {"lambda": "1/2", "monotone": True}}
+
+
+# ---------------------------------------------------------------------------
+# the option surface
+# ---------------------------------------------------------------------------
+
+INPUT_OPTIONS = ["--expr", "--vars", "--spec", "--format", "--output"]
+SPEC_ONLY_OPTIONS = ["--spec", "--format", "--output"]
+OPTIONS = {
+    "eval": INPUT_OPTIONS + ["--point"],
+    "period": INPUT_OPTIONS + ["--max-power"],
+    "cover": SPEC_ONLY_OPTIONS,
+    "quotient": INPUT_OPTIONS + ["--weights", "--modulus", "--basis", "--new-vars"],
+    "crit": INPUT_OPTIONS + ["--seed", "--starts"],
+    "mutate": INPUT_OPTIONS + ["--sub"],
+    "tangency": INPUT_OPTIONS + ["--degree", "--boundary", "--multiplicities", "--descendant",
+                                 "--smooth"],
+    "compare": INPUT_OPTIONS + ["--expr2", "--max-power"],
+    "check-weak-lg": INPUT_OPTIONS + ["--reference", "--max-power", "--k-min"],
+    "ledger": SPEC_ONLY_OPTIONS,
+}
+
+
+def test_option_set_of_each_subcommand():
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    seen = {name: [a.option_strings[-1] for a in p._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+            for name, p in subparsers.choices.items()}
+    assert seen == OPTIONS
+    assert sum(map(len, seen.values())) == 65
+
+
+def readme_commands() -> list[str]:
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", readme_commands(), ids=lambda line: line.split()[1])
+def test_readme_command_line_examples_run(line, monkeypatch, capsys):
+    # punctuation_chars splits off ';', '&' and '|' as a shell would, so an
+    # unquoted control character leaves a stray token that argparse rejects
+    lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+    lexer.whitespace_split = True
+    argv = list(lexer)
+    assert argv[0] == "lgforge"
+    monkeypatch.chdir(ROOT)
+    try:
+        code = main(argv[1:])
+    except SystemExit as exc:  # argparse
+        code = exc.code
+    assert code == 0, capsys.readouterr().err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as err:
         main(["--version"])
@@ -171,7 +238,7 @@ def test_version_flag():
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 from pathlib import Path
-from lgforge.cli import main
+from lgforge.cli import build_parser, main
 
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):

@@ -104,9 +104,6 @@ MALFORMED = [
     ("cover-functional-linear-malformed", ["cover", "--spec", dict(
         COVER, functional={"linear": 0, "constant": "1"})], 2, ["functional", "'linear'"]),
     ("crit-starts", ["crit", *EXPR, "--starts", "-3"], 2, ["--starts"]),
-    ("crit-max-iter", ["crit", *EXPR, "--max-iter", "0"], 2, ["--max-iter"]),
-    ("crit-tol-nan", ["crit", *EXPR, "--tol", "nan"], 2, ["--tol"]),
-    ("crit-tol-zero", ["crit", *EXPR, "--tol", "0"], 2, ["--tol"]),
     ("reference-coeffs-not-list", ["check-weak-lg", *EXPR, "-K", "2", "--reference",
                                    {"coeffs": 5}], 2, ["'coeffs'"]),
     ("output-in-missing-directory", ["period", *EXPR, "-K", "2", "--output",
@@ -162,7 +159,48 @@ MALFORMED = [
                             "--reference", "cases/p2_reference.json"], 2, ["-K"]),
     ("period-K-negative", ["period", *EXPR, "-K", "-1"], 2, ["-K"]),
     ("compare-K-negative", ["compare", *EXPR, "--expr2", "x + 2/x", "-K", "-2"], 2, ["-K"]),
+    ("tangency-r-float", ["tangency", "--spec", dict(TANGENCY, r=3.9, boundary=[1.5, 2.7])],
+     2, ["'r'", "expected an integer, got 3.9"]),
+    ("tangency-boundary-float", ["tangency", "--spec", dict(TANGENCY, boundary=[1.5, 2.7])],
+     2, ["'boundary'", "expected an integer, got 1.5"]),
+    ("tangency-multiplicities-bool", ["tangency", "--spec", dict(
+        TANGENCY, multiplicities=[0, True, 2])], 2, ["'multiplicities'", "got True"]),
+    ("tangency-smooth-string", ["tangency", "--spec", dict(TANGENCY, smooth="false")],
+     2, ["'smooth'", "expected true or false"]),
+    ("cover-r-float", ["cover", "--spec", dict(COVER, r=2.5)],
+     2, ["cover spec", "'r'", "expected an integer"]),
+    ("cover-basis-float", ["cover", "--spec", dict(COVER, basis=[[2.0]])],
+     2, ["cover spec", "'basis'", "expected an integer"]),
+    ("ledger-half-maslov-float", ["ledger", "--spec", {"classes": [{"half_maslov": 1.9}]}],
+     2, ["classes[0]", "'half_maslov'", "expected an integer"]),
+    ("ledger-connected-r-string", ["ledger", "--spec", {
+        "classes": [CLASS], "checks": {"connected": {"d_values": [1], "r": "2"}}}],
+     2, ["checks.connected", "'r'", "expected an integer"]),
+    ("reference-index-bool", ["check-weak-lg", *EXPR, "-K", "2", "--reference",
+                              {"coeffs": [[True, "2"]]}], 2, ["bad index True"]),
+    ("ledger-check-misspelt", ["ledger", "--spec", {
+        "classes": [CLASS], "checks": {"monotonicty": True}}], 2, ["checks.monotonicty"]),
+    ("ledger-check-string", ["ledger", "--spec", {
+        "classes": [CLASS], "checks": {"monotonicity": "no"}}], 2, ["checks.monotonicity"]),
+    ("ledger-riemann-hurwitz-true", ["ledger", "--spec", {
+        "classes": [CLASS], "checks": {"riemann_hurwitz": True}}],
+     2, ["checks.riemann_hurwitz", "missing key 'r'"]),
 ]
+
+
+# Flags that no longer exist: --seed outside crit, --expr/--vars on the
+# spec-only commands, and the solver settings that are now constants.
+@pytest.mark.parametrize("argv", [
+    ["period", *EXPR, "-K", "2", "--seed", "1"],
+    ["cover", "--spec", "cases/rank1_cover.json", "--expr", "x"],
+    ["crit", *EXPR, "--tol", "1e-9"],
+    ["crit", *EXPR, "--max-iter", "5"],
+], ids=["period-seed", "cover-expr", "crit-tol", "crit-max-iter"])
+def test_removed_flag_is_an_argparse_error(argv):
+    proc = run_lgforge(*argv)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv, code, needles", [case[1:] for case in MALFORMED],

@@ -113,6 +113,15 @@ def test_pow_zero_is_one_even_for_zero():
     assert z ** 0 == LaurentPoly.constant(2, 1)
 
 
+def test_pow_of_one_term_is_direct():
+    # one product per unit of k would make these 10^9 multiplications
+    big = LaurentPoly.monomial(1, (10**9,), varnames=("x",))
+    assert parse_poly("x^1000000000", ["x"]) == big
+    assert parse_poly("(1/x)^-1000000000", ["x"]) == big
+    assert poly("(-2*x/y)^3") == poly("-8*x^3*y^-3")
+    assert LaurentPoly.zero(2) ** 5 == LaurentPoly.zero(2)
+
+
 def test_pow_negative_rejected():
     with pytest.raises(ValueError):
         poly("x") ** -1
