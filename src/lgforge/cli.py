@@ -35,7 +35,7 @@ from .errors import ExprSyntaxError, LGForgeError, ReferenceFormatError
 from .lattice import CharacterAction, invariant_sublattice, rewrite_in_sublattice
 from .mutation import apply_substitution, check_period_invariance, substitution_from_dict
 from .parsing import (parse_poly, spec_bool, spec_field, spec_fraction, spec_int, spec_list,
-                      spec_object)
+                      spec_object, spec_str)
 from .periods import DescendantConstant, ingest_reference, is_weak_lg, period_sequence
 
 _USAGE_ERRORS = (ExprSyntaxError, ReferenceFormatError, OSError, ValueError)
@@ -114,8 +114,8 @@ def _expr_inputs(args) -> tuple[str, list[str], dict]:
             raise ValueError("provide --expr and --vars, or --spec")
         expr, varnames = _read_expr(args.expr), _split_csv(args.vars)
     else:
-        expr = spec_field(data, "expr", str, args.spec)
-        varnames = spec_field(data, "vars", spec_list(str), args.spec)
+        expr = spec_field(data, "expr", spec_str, args.spec)
+        varnames = spec_field(data, "vars", spec_list(spec_str), args.spec)
     return expr, varnames, {"expr": expr, "vars": varnames}
 
 
@@ -218,6 +218,9 @@ def _cmd_crit(args):
     raw.update({"starts": opts.starts, "tol": TOL, "max_iter": MAX_ITER})
     f = parse_poly(expr, varnames)
     search = critical_points(f, opts)
+    if not search.points and not search.degenerate_input:
+        print(f"warning: crit found no critical point from {opts.starts} starts",
+              file=sys.stderr)
     values = critical_values(f, opts, search=search)
     result = {
         "degenerate_input": search.degenerate_input,
@@ -275,8 +278,8 @@ def _cmd_tangency(args):
                                     if args.multiplicities else None),
                     descendant=args.descendant, smooth=args.smooth)
         where = "command line"
-    expr = spec_field(data, "potential" if args.spec else "expr", str, where)
-    varnames = spec_field(data, "vars", spec_list(str), where)
+    expr = spec_field(data, "potential" if args.spec else "expr", spec_str, where)
+    varnames = spec_field(data, "vars", spec_list(spec_str), where)
     r = spec_field(data, "r", spec_int, where)
     boundary = spec_field(data, "boundary", spec_list(spec_int, len(varnames)), where)
     mults = spec_field(data, "multiplicities", spec_list(spec_int), where, None)

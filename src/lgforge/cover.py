@@ -317,11 +317,11 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
     A missing or malformed key raises ValueError naming it.
     """
     from .parsing import (parse_poly, spec_field, spec_fraction, spec_int, spec_list,
-                          spec_object)
+                          spec_object, spec_str)
 
     where = "cover spec"
-    varnames = spec_field(data, "vars", spec_list(str), where)
-    potential = parse_poly(spec_field(data, "potential", str, where), varnames)
+    varnames = spec_field(data, "vars", spec_list(spec_str), where)
+    potential = parse_poly(spec_field(data, "potential", spec_str, where), varnames)
     fun = spec_field(data, "functional", spec_object, where)
     functional = DivisorFunctional(
         tuple(spec_field(fun, "linear", spec_list(spec_fraction, len(varnames)),
@@ -339,6 +339,6 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
         return columns
 
     basis = spec_field(data, "basis", basis_columns, where, None)
-    qvars = spec_field(data, "quotient_vars", spec_list(str, len(varnames)), where, None)
+    qvars = spec_field(data, "quotient_vars", spec_list(spec_str, len(varnames)), where, None)
     return spec, basis, qvars
 

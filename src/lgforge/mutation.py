@@ -90,8 +90,8 @@ def substitution_from_dict(data: dict) -> Substitution:
 
     A missing or malformed key raises ValueError naming it.
     """
-    from .parsing import parse, spec_field, spec_list
+    from .parsing import parse, spec_field, spec_list, spec_str
 
-    varnames = spec_field(data, "vars", spec_list(str), "substitution")
-    texts = spec_field(data, "images", spec_list(str, len(varnames)), "substitution")
+    varnames = spec_field(data, "vars", spec_list(spec_str), "substitution")
+    texts = spec_field(data, "images", spec_list(spec_str, len(varnames)), "substitution")
     return Substitution(tuple(parse(text, varnames) for text in texts))

@@ -209,6 +209,14 @@ def spec_int(value) -> int:
     return value
 
 
+def spec_str(value) -> str:
+    """Converter for a JSON string; a number, list or boolean is rejected
+    rather than turned into its text."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def spec_bool(value) -> bool:
     """Converter for a JSON boolean; a string such as "false" is rejected."""
     if not isinstance(value, bool):

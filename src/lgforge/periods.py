@@ -16,7 +16,7 @@ from typing import Callable, Literal, Sequence
 
 from .errors import RankMismatchError, ReferenceFormatError, SequenceRangeError
 from .laurent import LaurentPoly
-from .parsing import spec_int
+from .parsing import spec_field, spec_int, spec_str
 
 
 @dataclass(frozen=True)
@@ -257,4 +257,8 @@ def ingest_reference(path: str | Path) -> PeriodSequence:
         except TypeError:
             raise ReferenceFormatError(f"bad index {k!r}") from None
         pairs.append((k, _parse_coeff(str(raw), None)))
-    return _assemble(pairs, str(data.get("name", path.stem)))
+    try:
+        name = spec_field(data, "name", spec_str, str(path), path.stem)
+    except ValueError as exc:
+        raise ReferenceFormatError(str(exc)) from None
+    return _assemble(pairs, name)

@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Nothing in here imports lgforge internals beyond plain data (dicts of
-exponent tuples), so these stay honest as oracles.
+exponent tuples), so these stay honest as oracles.  The one exception is the
+per-start Newton search at the end, a bitwise reference for the block solver
+(see the note there).
 """
 
 from __future__ import annotations
@@ -148,3 +150,117 @@ def fraction_solve(a, b) -> list[Fraction]:
                 q = m[i][col] / m[col][col]
                 m[i] = [x - q * y for x, y in zip(m[i], m[col])]
     return [m[i][n] / m[i][i] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# per-start Newton search
+# ---------------------------------------------------------------------------
+# lgforge.critical.critical_points steps a block of starts at once.  Each row
+# of a block must go through the same floating-point operations, in the same
+# order, as a start of the loop below, which ran one start at a time, so the
+# two searches agree bit for bit.  The loop is kept verbatim as that
+# reference; unlike the oracles above it reads the potential's own gradient,
+# evaluator and the solver's constants, which the block solver shares.
+
+def _entry(items, weight):
+    """The rows of ``items`` with nonzero weight(e), and the exact weight(e) * c rounded."""
+    import numpy as np
+
+    rows = [k for k, (e, _) in enumerate(items) if weight(e)]
+    coeffs = [complex(weight(items[k][0]) * items[k][1]) for k in rows]
+    return np.array(rows, dtype=np.intp), np.array(coeffs, dtype=complex)
+
+
+def _evaluate(m, entries):
+    import numpy as np
+
+    return np.array([m[rows] @ coeffs for rows, coeffs in entries])
+
+
+def per_start_critical_points(f, opts):
+    """Newton search for critical points from seeded random starts.
+
+    Non-converged starts are silently dropped; a singular Jacobian triggers a
+    deterministic multiplicative jitter and the iteration continues.  Converged
+    points are re-checked exactly, canonically sorted, and deduplicated within
+    ``DEDUPE_RADIUS`` in the max-norm.
+    """
+    import math
+
+    import numpy as np
+
+    from lgforge.critical import (
+        COORD_BOUND, DEDUPE_RADIUS, HESSIAN_THRESHOLD, MAX_ITER, START_RADIUS, TOL,
+        CriticalPoint, CriticalSearch, log_gradient,
+    )
+
+    n = f.rank
+    grads = log_gradient(f)
+    if all(g.is_zero() for g in grads):
+        return CriticalSearch((), degenerate_input=True)
+    items = sorted(f.terms.items())
+    exps = np.array([e for e, _ in items], dtype=np.int64)
+    # theta_i f and theta_j theta_i f weight the term c x^e by e_i and e_i e_j
+    grad = [_entry(items, lambda e, i=i: e[i]) for i in range(n)]
+    hess = [_entry(items, lambda e, i=i, j=j: e[i] * e[j])
+            for i in range(n) for j in range(n)]  # row-major: theta_j theta_i f
+
+    rng = np.random.default_rng(opts.seed)
+    log_r = math.log(START_RADIUS)
+    converged: list[np.ndarray] = []
+    for _ in range(opts.starts):
+        radii = np.exp(rng.uniform(-log_r, log_r, n))
+        phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+        z = radii * phases
+        for _ in range(MAX_ITER):
+            m = np.prod(z[None, :] ** exps, axis=1)
+            g = _evaluate(m, grad)
+            if not np.all(np.isfinite(g)):
+                break
+            if np.max(np.abs(g)) < TOL:
+                converged.append(z)
+                break
+            h = _evaluate(m, hess).reshape(n, n)
+            try:
+                delta = np.linalg.solve(h, g)
+            except np.linalg.LinAlgError:
+                z = z * np.exp(1e-6 + 1e-6j)  # nudge off the singular locus
+                continue
+            step = np.max(np.abs(delta))
+            if step > 5.0:
+                delta = delta * (5.0 / step)  # damp wild steps far from a root
+            z = z * np.exp(-delta)
+            mags = np.abs(z)
+            if np.max(mags) > COORD_BOUND or np.min(mags) < 1.0 / COORD_BOUND:
+                break
+
+    # exact re-check, canonical order, dedupe
+    checked = []
+    for z in converged:
+        pt = [complex(v) for v in z]
+        residual = max(abs(g.evaluate(pt)) for g in grads)
+        if residual < TOL:
+            checked.append((pt, residual))
+    checked.sort(key=lambda item: tuple((v.real, v.imag) for v in item[0]))
+    points: list[CriticalPoint] = []
+    kept: list[list[complex]] = []
+    for pt, residual in checked:
+        if any(max(abs(a - b) for a, b in zip(pt, other)) < DEDUPE_RADIUS
+               for other in kept):
+            continue
+        kept.append(pt)
+        m = np.prod(np.array(pt)[None, :] ** exps, axis=1)
+        h = _evaluate(m, hess).reshape(n, n)
+        det = complex(np.linalg.det(h))
+        scale = 1.0
+        for i in range(n):
+            scale *= max(float(np.linalg.norm(h[i])), 1e-300)
+        nondegenerate = abs(det) > HESSIAN_THRESHOLD * scale
+        points.append(CriticalPoint(
+            coords=tuple(pt),
+            value=f.evaluate(pt),
+            log_hessian_det=det,
+            nondegenerate=nondegenerate,
+            residual=residual,
+        ))
+    return CriticalSearch(tuple(points), degenerate_input=False)

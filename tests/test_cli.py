@@ -54,6 +54,23 @@ def test_different_seed_changes_hash(capsys):
     assert json.loads(out2)["provenance"]["seed"] == 2
 
 
+def test_crit_warns_on_stderr_when_it_finds_no_point(capsys):
+    # x + 2/x + y + 3/(x*y^2) has six critical points; scaled by 10^6 none
+    # passes the absolute TOL, and the empty report must not pass silently.
+    # Stdout, and with it the provenance hash, is what it was without the warning.
+    from lgforge import __version__
+
+    expr = "1000000*x + 2000000/x + 1000000*y + 3000000/(x*y^2)"
+    assert main(["crit", "--expr", expr, "--vars", "x,y"]) == 0
+    out, err = capsys.readouterr()
+    assert out == ("0 critical points\nvalues: \n"
+                   f"[lgforge {__version__} | seed 0 | input e0974d855ec8]\n")
+    assert err == "warning: crit found no critical point from 200 starts\n"
+    for expr in ("x + 2/x + y + 3/(x*y^2)", "5"):  # points found; degenerate input
+        assert main(["crit", "--expr", expr, "--vars", "x,y", "--starts", "20"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

@@ -185,6 +185,25 @@ MALFORMED = [
     ("ledger-riemann-hurwitz-true", ["ledger", "--spec", {
         "classes": [CLASS], "checks": {"riemann_hurwitz": True}}],
      2, ["checks.riemann_hurwitz", "missing key 'r'"]),
+    ("period-expr-number", ["period", "--spec", {"expr": 5, "vars": ["x"]}, "-K", "3"],
+     2, ["'expr'", "expected a string, got 5"]),
+    ("period-vars-number", ["period", "--spec", {"expr": "x + 1/x", "vars": [1]}, "-K", "3"],
+     2, ["'vars'", "expected a string, got 1"]),
+    ("tangency-potential-list", ["tangency", "--spec", dict(TANGENCY, potential=["z1"])],
+     2, ["'potential'", "expected a string"]),
+    ("cover-potential-number", ["cover", "--spec", dict(COVER, potential=3)],
+     2, ["cover spec", "'potential'", "expected a string, got 3"]),
+    ("cover-vars-number", ["cover", "--spec", dict(COVER, vars=[1])],
+     2, ["cover spec", "'vars'", "expected a string, got 1"]),
+    ("cover-quotient-vars-bool", ["cover", "--spec", dict(COVER, quotient_vars=[True])],
+     2, ["cover spec", "'quotient_vars'", "expected a string, got True"]),
+    ("sub-vars-number", ["mutate", *EXPR, "--sub", {"vars": [0], "images": ["x"]}],
+     2, ["'vars'", "expected a string, got 0"]),
+    ("sub-images-number", ["mutate", *EXPR, "--sub", {"vars": ["x"], "images": [2]}],
+     2, ["'images'", "expected a string, got 2"]),
+    ("reference-name-number", ["check-weak-lg", *EXPR, "-K", "2", "--reference",
+                               {"name": 7, "coeffs": [[0, "1"], [2, "2"]]}],
+     2, ["{tmp}/input8.json", "'name'", "expected a string, got 7"]),
 ]
 
 

@@ -204,3 +204,93 @@ def test_hypersurface_family_closed_form(n, d):
     assert len(got) == len(expected)
     for u, w in zip(got, expected):
         assert abs(u - w) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# block Newton: bitwise agreement with the per-start loop, bounded memory
+# ---------------------------------------------------------------------------
+
+FIELDS = ("coords", "value", "log_hessian_det", "nondegenerate", "residual")
+
+
+def assert_same_bits(f, opts):
+    # repr shows every bit of a float, so equal reprs are equal doubles
+    got = critical_points(f, opts)
+    want = oracles.per_start_critical_points(f, opts)
+    assert got.degenerate_input == want.degenerate_input
+    assert [[repr(getattr(p, k)) for k in FIELDS] for p in got.points] == \
+        [[repr(getattr(p, k)) for k in FIELDS] for p in want.points]
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_block_newton_matches_per_start_loop(n, seed, simplex):
+    # with the terms of x_1 + ... + x_n + 1/(x_1 ... x_n) added, the origin
+    # is inside the Newton polytope and most starts converge; without them,
+    # many starts are dropped as non-finite or outside COORD_BOUND.  Up to 12
+    # terms, as sums of 8 or more products are where an evaluation taking
+    # another BLAS path differs in the last place.
+    rng = random.Random(seed)
+    terms = oracles.random_poly_terms(rng, n, rng.randint(1, 12), exp_range=2)
+    if simplex:
+        terms.update({tuple(int(i == j) for j in range(n)): 1 for i in range(n)})
+        terms[(-1,) * n] = 1
+    assert_same_bits(LaurentPoly(n, terms),
+                     SolverOptions(starts=rng.randint(5, 30), seed=rng.randrange(100)))
+
+
+def test_block_newton_singular_hessian_falls_back_row_by_row(monkeypatch):
+    # theta_x f = theta_y f, so the log-Hessian of x*y + 1/(x*y) is singular
+    # at every point: block solves fail, and each such step is solved row by
+    # row, jittering the rows LAPACK finds singular (rounding in its complex
+    # pivots lets some through)
+    f = parse_poly("x*y + 1/(x*y)", ["x", "y"])
+    opts = SolverOptions(starts=12, seed=0)
+    assert_same_bits(f, opts)
+    import numpy as np
+
+    solve, calls = np.linalg.solve, []
+
+    def recording_solve(a, b):
+        try:
+            x = solve(a, b)
+        except np.linalg.LinAlgError:
+            calls.append((a.ndim, False))
+            raise
+        calls.append((a.ndim, True))
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    critical_points(f, opts)
+    assert (3, False) in calls and (2, False) in calls
+
+
+@pytest.mark.parametrize("expr, vars_, opts", [
+    ("x + y", ["x", "y"], SolverOptions(starts=40, seed=2)),
+    ("(1+x)^2*(1+y)^2/(x*y) - 4", ["x", "y"], SolverOptions(starts=200, seed=0)),
+    ("x0 + (1+y1+y2)^3/(x0*y1*y2)", ["x0", "y1", "y2"], SolverOptions(starts=30, seed=0)),
+    ("x + y + 1/(x*y)", ["x", "y"], SolverOptions(starts=critical.BLOCK + 1, seed=1)),
+    ("x + 1/x", ["x"], SolverOptions(starts=2 * critical.BLOCK + 3, seed=4)),
+], ids=["no-points", "dP4", "cubic-surface", "block-plus-one", "two-blocks-plus-three"])
+def test_block_newton_matches_per_start_loop_fixed(expr, vars_, opts):
+    assert_same_bits(parse_poly(expr, vars_), opts)
+
+
+def test_block_newton_peak_memory_does_not_grow_with_starts():
+    # x + y has no critical point, so no start converges and nothing is kept:
+    # the peak is the working set of one block.  Stepping all starts at once
+    # would need about 0.5 KB more per start here.
+    import tracemalloc
+
+    f = parse_poly("x + y", ["x", "y"])
+    critical_points(f, SolverOptions(starts=2))  # first-call allocations
+
+    def peak(starts):
+        tracemalloc.start()
+        try:
+            critical_points(f, SolverOptions(starts=starts))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16 * critical.BLOCK) <= 2 * peak(critical.BLOCK)
