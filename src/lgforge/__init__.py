@@ -38,6 +38,7 @@ from .errors import (
     DiscLedgerError,
     EmptyPolynomialError,
     ExprSyntaxError,
+    FloatRangeError,
     InvalidFunctionalError,
     InvarianceError,
     LGForgeError,

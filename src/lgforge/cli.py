@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -55,6 +56,13 @@ def _complex_text(z: complex) -> str:
 
 def _split_csv(text: str) -> list[str]:
     return [cell.strip() for cell in text.split(",") if cell.strip()]
+
+
+def _finite_complex(text: str) -> complex:
+    z = complex(text)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"{text!r} is not a finite number")
+    return z
 
 
 def _read_expr(value: str) -> str:
@@ -134,7 +142,7 @@ def _provenance(command: str, inputs: dict, seed: int) -> dict:
 
 def _cmd_eval(args):
     expr, varnames, raw = _expr_inputs(args)
-    point = _csv_flag(args.point, "--point", complex, length=len(varnames))
+    point = _csv_flag(args.point, "--point", _finite_complex, length=len(varnames))
     raw["point"] = [str(p) for p in point]
     f = parse_poly(expr, varnames)
     value = f.evaluate(point)

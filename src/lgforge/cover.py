@@ -15,11 +15,11 @@ connectivity of the covering torus).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 from typing import Sequence
 
+from ._record import record
 from .errors import (
     DiscLedgerError,
     InvalidFunctionalError,
@@ -37,7 +37,7 @@ from .periods import DescendantConstant, power_coefficient
 # divisor functionals and potential splitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class DivisorFunctional:
     """Affine map e -> linear.e + constant giving branch-divisor intersections.
 
@@ -100,7 +100,7 @@ def derive_action(f: LaurentPoly, functional: DivisorFunctional, r: int) -> Char
 # the cover pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CoverSpec:
     """Input data for one cyclic cover step at the potential level."""
 
@@ -118,7 +118,7 @@ class CoverSpec:
         self.functional.validate_on(self.potential)
 
 
-@dataclass(frozen=True)
+@record
 class CoverResult:
     upstairs_potential: LaurentPoly  # on the base torus, deck-invariant
     action: CharacterAction
@@ -157,7 +157,7 @@ def build_cover_potential(spec: CoverSpec, *,
 # tangency numbers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class TangencyNumber:
     value: Fraction
     integral: bool  # a fractional count signals inconsistent inputs
@@ -207,7 +207,7 @@ def tangency_number(potential: LaurentPoly, r: int, boundary: Sequence[int], *,
 # disc-class ledger
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class DiscClass:
     """Bookkeeping record for one disc class: half Maslov index, intersection
     numbers with the divisor components, boundary class, symplectic area."""
@@ -232,7 +232,7 @@ class DiscClass:
         return sum(self.divisor_hits[i] for i in indices)
 
 
-@dataclass(frozen=True)
+@record
 class RHLift:
     """Half Maslov index upstairs; integral iff the class lifts."""
 
@@ -248,14 +248,14 @@ def riemann_hurwitz_lift(half_maslov_down: int, divisor_hits: int, r: int) -> RH
     return RHLift(value, value.denominator == 1)
 
 
-@dataclass(frozen=True)
+@record
 class MaslovRow:
     disc: DiscClass
     required: int  # max(selected hits, 1)
     ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class MaslovReport:
     rows: tuple[MaslovRow, ...]
     passed: bool

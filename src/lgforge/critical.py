@@ -19,8 +19,9 @@ steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
+from .errors import FloatRangeError
 from .laurent import LaurentPoly
 
 
@@ -46,13 +47,13 @@ HESSIAN_THRESHOLD = 1e-8  # |det| below this times the product of row norms is d
 VALUE_TOL = 1e-8  # critical values this close are one value
 
 
-@dataclass(frozen=True)
+@record
 class SolverOptions:
     starts: int = 200
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class CriticalPoint:
     coords: tuple[complex, ...]
     value: complex
@@ -61,13 +62,13 @@ class CriticalPoint:
     residual: float
 
 
-@dataclass(frozen=True)
+@record
 class CriticalSearch:
     points: tuple[CriticalPoint, ...]
     degenerate_input: bool  # gradient vanishes identically (constant potential)
 
 
-@dataclass(frozen=True)
+@record
 class CriticalValueSet:
     values: tuple[tuple[complex, int], ...]  # (value, multiplicity)
     degenerate_input: bool
@@ -78,7 +79,11 @@ def _entry(items, weight) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     rows = [k for k, (e, _) in enumerate(items) if weight(e)]
-    coeffs = [complex(weight(items[k][0]) * items[k][1]) for k in rows]
+    try:
+        coeffs = [complex(weight(items[k][0]) * items[k][1]) for k in rows]
+    except OverflowError:
+        raise FloatRangeError(
+            "a coefficient of the potential is outside the float range") from None
     return np.array(rows, dtype=np.intp), np.array(coeffs, dtype=complex)
 
 
@@ -186,12 +191,16 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
             checked.append((pt, residual))
     checked.sort(key=lambda item: tuple((v.real, v.imag) for v in item[0]))
     points: list[CriticalPoint] = []
-    kept: list[list[complex]] = []
+    # kept points by floor(Re z_1 / DEDUPE_RADIUS): two points closer than the
+    # radius in the max-norm sit at most one bucket apart, so each point is
+    # tested against the kept points of three buckets instead of all of them
+    kept: dict[int, list[list[complex]]] = {}
     for pt, residual in checked:
-        if any(max(abs(a - b) for a, b in zip(pt, other)) < DEDUPE_RADIUS
-               for other in kept):
+        b = math.floor(pt[0].real / DEDUPE_RADIUS)
+        if any(max(abs(a - c) for a, c in zip(pt, other)) < DEDUPE_RADIUS
+               for k in (b - 1, b, b + 1) for other in kept.get(k, ())):
             continue
-        kept.append(pt)
+        kept.setdefault(b, []).append(pt)
         h = log_hessian(monomials(np.array([pt])))[0]
         det = complex(np.linalg.det(h))
         scale = 1.0

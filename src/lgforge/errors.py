@@ -70,6 +70,11 @@ class MultiplicityError(LGForgeError):
     """Tangency multiplicities do not sum to the cover degree."""
 
 
+class FloatRangeError(LGForgeError):
+    """An exact number, or a value computed from exact data, does not fit in a
+    finite float (an evaluation overflows, or a coefficient is too large)."""
+
+
 class SequenceRangeError(LGForgeError):
     """Requested index lies outside the stored period sequence."""
 

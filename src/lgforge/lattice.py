@@ -12,12 +12,12 @@ a cyclic character action (the quotient-torus coordinate change).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 from typing import Sequence
 
+from ._record import record
 from .errors import CharacterSolveError, NotInSublatticeError, RankMismatchError
 from .laurent import Exponent, LaurentPoly
 
@@ -115,7 +115,7 @@ def unimodular_inverse(a: Sequence[Sequence[int]]) -> list[list[int]]:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class SNFDecomposition:
     """A = U * D * V with U, V unimodular and D diagonal, d1 | d2 | ..."""
 
@@ -163,7 +163,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SNFDecomposition:
 # character actions and invariant sublattices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CharacterAction:
     """Cyclic group action on torus monomials: zeta . x^e = zeta^(w.e) x^e.
 
@@ -191,7 +191,7 @@ class CharacterAction:
         return self.pairing(e) == 0
 
 
-@dataclass(frozen=True)
+@record
 class Sublattice:
     """Finite-index sublattice of Z^n; the columns of ``basis`` generate it."""
 

@@ -8,12 +8,14 @@ and hashing is cheap.  Floating point enters only through :meth:`LaurentPoly.eva
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._record import record
 from .errors import (
     EmptyPolynomialError,
+    FloatRangeError,
     NotLaurentError,
     RankMismatchError,
     ZeroCoordinateError,
@@ -265,12 +267,18 @@ class LaurentPoly:
         if any(z == 0 for z in pt):
             raise ZeroCoordinateError("evaluation point must avoid the coordinate axes")
         total = 0j
-        for e, c in self._terms.items():
-            mono = 1 + 0j
-            for z, k in zip(pt, e):
-                if k:
-                    mono *= z ** k
-            total += complex(c) * mono
+        try:
+            for e, c in self._terms.items():
+                mono = 1 + 0j
+                for z, k in zip(pt, e):
+                    if k:
+                        mono *= z ** k
+                total += complex(c) * mono
+            finite = math.isfinite(total.real) and math.isfinite(total.imag)
+        except (OverflowError, ZeroDivisionError):  # z ** k or complex(c) out of range
+            finite = False
+        if not finite:
+            raise FloatRangeError(f"the value at {pt} is outside the float range")
         return total
 
     # ---------------------------------------------------------- Newton polytope
@@ -443,7 +451,7 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 # Rational expressions (num/den pairs on the torus).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RationalExpr:
     """A quotient of Laurent polynomials, as produced by the parser.
 

@@ -8,14 +8,13 @@ here: substitutions are always explicit input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import RankMismatchError, ZeroDenominatorError
 from .laurent import LaurentPoly, RationalExpr, laurent_normalize
 from .periods import period_sequence
 
 
-@dataclass(frozen=True)
+@record
 class Substitution:
     """One rational-expression image per variable."""
 
@@ -59,7 +58,7 @@ def apply_substitution(f: LaurentPoly, sub: Substitution) -> LaurentPoly:
     return laurent_normalize(total)
 
 
-@dataclass(frozen=True)
+@record
 class PeriodCompareRow:
     k: int
     left: object
@@ -67,7 +66,7 @@ class PeriodCompareRow:
     match: bool
 
 
-@dataclass(frozen=True)
+@record
 class PeriodCompareReport:
     rows: tuple[PeriodCompareRow, ...]
     passed: bool

@@ -8,18 +8,18 @@ from CSV or JSON files that carry coefficients as decimal strings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
 from typing import Callable, Literal, Sequence
 
+from ._record import record
 from .errors import RankMismatchError, ReferenceFormatError, SequenceRangeError
 from .laurent import LaurentPoly
 from .parsing import spec_field, spec_int, spec_str
 
 
-@dataclass(frozen=True)
+@record
 class PeriodSequence:
     """Coefficients c_0..c_K of a regularized quantum period (c_0 = 1)."""
 
@@ -44,7 +44,7 @@ class PeriodSequence:
         return self.coeffs[k]
 
 
-@dataclass(frozen=True)
+@record
 class DescendantConstant:
     """A single regularized point-descendant value, indexed by its degree."""
 
@@ -145,7 +145,7 @@ def descendant_constant(p: PeriodSequence, r: int) -> DescendantConstant:
     return DescendantConstant(r, p[r])
 
 
-@dataclass(frozen=True)
+@record
 class WeakLGRow:
     k: int
     computed: Fraction
@@ -153,7 +153,7 @@ class WeakLGRow:
     match: bool
 
 
-@dataclass(frozen=True)
+@record
 class WeakLGReport:
     rows: tuple[WeakLGRow, ...]
     passed: bool

@@ -160,7 +160,9 @@ def fraction_solve(a, b) -> list[Fraction]:
 # order, as a start of the loop below, which ran one start at a time, so the
 # two searches agree bit for bit.  The loop is kept verbatim as that
 # reference; unlike the oracles above it reads the potential's own gradient,
-# evaluator and the solver's constants, which the block solver shares.
+# evaluator and the solver's constants, which the block solver shares.  Its
+# dedupe, which tests each point against every point kept so far, is likewise
+# the reference for the solver's, which tests only the nearby kept points.
 
 def _entry(items, weight):
     """The rows of ``items`` with nonzero weight(e), and the exact weight(e) * c rounded."""

@@ -250,8 +250,9 @@ def test_version_flag():
 
 
 # Runs in a fresh interpreter: every non-crit golden command, then one small
-# crit search, through lgforge.cli.main; prints the exit codes and whether
-# numpy was loaded after each stage.
+# crit search, through lgforge.cli.main; prints the exit codes, whether numpy
+# was loaded after each stage, and which of dataclasses and inspect (whose
+# import once cost every command's start-up) the exact commands loaded.
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -264,8 +265,10 @@ def run(argv):
 manifest = json.loads(Path("cases/golden_manifest.json").read_text())
 codes = [run(e["argv"]) for e in manifest if e["argv"][0] != "crit"]
 exact = "numpy" in sys.modules
+stdlib = [name for name in ("dataclasses", "inspect") if name in sys.modules]
 codes.append(run(["crit", "--expr", "x + 1/x", "--vars", "x", "--starts", "2"]))
-print(json.dumps({"codes": codes, "exact": exact, "crit": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "exact": exact, "stdlib": stdlib,
+                  "crit": "numpy" in sys.modules}))
 """
 
 
@@ -278,4 +281,5 @@ def test_only_crit_imports_numpy():
     seen = json.loads(proc.stdout)
     assert seen["codes"] == [0] * (sum(e["argv"][0] != "crit" for e in MANIFEST) + 1)
     assert not seen["exact"], "a command other than crit imported numpy"
+    assert seen["stdlib"] == [], f"the exact commands imported {seen['stdlib']}"
     assert seen["crit"]

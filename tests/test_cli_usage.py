@@ -204,6 +204,19 @@ MALFORMED = [
     ("reference-name-number", ["check-weak-lg", *EXPR, "-K", "2", "--reference",
                                {"name": 7, "coeffs": [[0, "1"], [2, "2"]]}],
      2, ["{tmp}/input8.json", "'name'", "expected a string, got 7"]),
+    # exact values that leave the float range where they become floats
+    ("eval-power-overflows", ["eval", "--expr", "x^2", "--vars", "x", "--point", "1e200"],
+     1, ["outside the float range"]),
+    ("eval-point-inf", ["eval", "--expr", "x", "--vars", "x", "--point", "inf"],
+     2, ["--point", "'inf' is not a finite number"]),
+    ("eval-coefficient-overflows", ["eval", "--expr", "10^400*x", "--vars", "x",
+                                    "--point", "1"], 1, ["outside the float range"]),
+    ("crit-coefficient-overflows", ["crit", "--expr", "10^400*x+1/x", "--vars", "x",
+                                    "--starts", "3"], 1, ["coefficient", "outside the float range"]),
+    ("eval-negative-power-underflows", ["eval", "--expr", "x^-2", "--vars", "x",
+                                        "--point", "1e-200"], 1, ["outside the float range"]),
+    ("eval-json-infinity", ["eval", "--expr", "x*y", "--vars", "x,y", "--point", "1e200,1e200",
+                            "--format", "json"], 1, ["outside the float range"]),
 ]
 
 

@@ -268,12 +268,24 @@ def test_block_newton_singular_hessian_falls_back_row_by_row(monkeypatch):
 @pytest.mark.parametrize("expr, vars_, opts", [
     ("x + y", ["x", "y"], SolverOptions(starts=40, seed=2)),
     ("(1+x)^2*(1+y)^2/(x*y) - 4", ["x", "y"], SolverOptions(starts=200, seed=0)),
+    # degenerate along 1 + x + y = 0: 434 points kept, deduped in buckets
+    ("(1+x+y)^4/(x*y)", ["x", "y"], SolverOptions(starts=512, seed=0)),
     ("x0 + (1+y1+y2)^3/(x0*y1*y2)", ["x0", "y1", "y2"], SolverOptions(starts=30, seed=0)),
     ("x + y + 1/(x*y)", ["x", "y"], SolverOptions(starts=critical.BLOCK + 1, seed=1)),
     ("x + 1/x", ["x"], SolverOptions(starts=2 * critical.BLOCK + 3, seed=4)),
-], ids=["no-points", "dP4", "cubic-surface", "block-plus-one", "two-blocks-plus-three"])
+], ids=["no-points", "dP4", "degenerate-line-512", "cubic-surface", "block-plus-one",
+        "two-blocks-plus-three"])
 def test_block_newton_matches_per_start_loop_fixed(expr, vars_, opts):
     assert_same_bits(parse_poly(expr, vars_), opts)
+
+
+def test_bucketed_dedupe_matches_the_all_pairs_loop_across_bucket_borders(monkeypatch):
+    # with a radius this wide, points merged along the degenerate line often
+    # sit in neighbouring buckets of Re z_1
+    monkeypatch.setattr(critical, "DEDUPE_RADIUS", 0.05)
+    f = parse_poly("(1+x+y)^4/(x*y)", ["x", "y"])
+    opts = SolverOptions(starts=512)
+    assert repr(critical_points(f, opts)) == repr(oracles.per_start_critical_points(f, opts))
 
 
 def test_block_newton_peak_memory_does_not_grow_with_starts():

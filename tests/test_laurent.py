@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lgforge import (
     EmptyPolynomialError,
+    FloatRangeError,
     LaurentPoly,
     RankMismatchError,
     ZeroCoordinateError,
@@ -208,6 +209,18 @@ def test_evaluate_sum_of_coefficients():
 def test_evaluate_rejects_zero_coordinate():
     with pytest.raises(ZeroCoordinateError):
         poly("x + 1/y").evaluate([1, 0])
+
+
+@pytest.mark.parametrize("text, point", [
+    ("x^2 + y", [1e200, 1]),  # z ** k overflows
+    ("x^-2 + y", [1e-200, 1]),  # z ** -k divides by an underflowed 0
+    ("10^400*x + y", [1, 1]),  # complex(c) overflows
+    ("x*y", [1e200, 1e200]),  # the product is inf
+    ("x + y", [float("nan"), 1]),
+])
+def test_evaluate_outside_the_float_range_raises(text, point):
+    with pytest.raises(FloatRangeError):
+        poly(text).evaluate(point)
 
 
 @settings(max_examples=60, deadline=None)
