@@ -220,6 +220,8 @@ def _cmd_crit(args):
     expr, varnames, raw = _expr_inputs(args)
     if args.starts < 1:
         raise ValueError("--starts must be at least 1")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     opts = SolverOptions(starts=args.starts, seed=args.seed)
     # "tol" and "max_iter" stay in the hashed inputs so that crit provenance
     # hashes are the same as those of releases that had --tol and --max-iter.

@@ -67,6 +67,13 @@ def _half_powers(f: LaurentPoly, h: int, pad: Sequence[int]
     and injective on the box |e_i| <= B_i.  That box holds every exponent a
     of g**0..g**h, and pad - a too, so sums, negations and differences of
     exponents become sums, negations and differences of int keys.
+
+    Each g**j is g**(j-1) shifted by g's first term, into which the other
+    terms of g are added, so a power costs (|g| - 1) * |g**(j-1)| dict
+    updates.  Callers read the constant term of g**k for k <= h straight
+    off ``powers[k]``; h = ceil(K/2) is the cheapest split for c_0..c_K,
+    because building g**(h+1) would cost |g| * |g**h| updates, more than
+    the |g**(K-h)| pairing lookups it saves.
     """
     terms = f.terms
     denom = lcm(*(c.denominator for c in terms.values()))
@@ -80,17 +87,22 @@ def _half_powers(f: LaurentPoly, h: int, pad: Sequence[int]
     def pack(e: Sequence[int]) -> int:
         return sum(x * r for x, r in zip(e, radices))
 
-    g = {pack(e): c.numerator * (denom // c.denominator) for e, c in terms.items()}
+    g = [(pack(e), c.numerator * (denom // c.denominator)) for e, c in terms.items()]
+    if not g:
+        return [{0: 1}] + [{} for _ in range(h)], denom, pack
+    (k0, c0), *rest = g
     powers = [{0: 1}]
     for _ in range(h):
         prev = powers[-1]
-        out: dict[int, int] = {}
+        out = {kp + k0: cp * c0 for kp, cp in prev.items()}
         get = out.get
-        for kg, cg in g.items():
+        for kg, cg in rest:
             for kp, cp in prev.items():
                 k = kp + kg
                 out[k] = get(k, 0) + cp * cg
-        powers.append({k: c for k, c in out.items() if c})
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        powers.append(out)
     return powers, denom, pack
 
 
@@ -104,18 +116,23 @@ def _pair(hi: dict[int, int], lo: dict[int, int], target: int) -> int:
 def period_sequence(f: LaurentPoly, up_to: int) -> PeriodSequence:
     """Constant terms of f**k for k = 0..up_to, exactly.
 
-    One kernel: write f = g/D with g integral, build g**0..g**h for
-    h = ceil(up_to/2) on packed int exponent keys, and read
-    c_0(g**k) = sum_a g**ceil(k/2)[a] * g**floor(k/2)[-a]; then
-    c_k = c_0(g**k) / D**k.
+    One kernel: write f = g/D with g integral and build g**0..g**h for
+    h = ceil(up_to/2) on packed int exponent keys (see ``_half_powers``).
+    For k <= h, c_0(g**k) is read off g**k itself; for h < k <= up_to it is
+    sum_a g**(k-h)[a] * g**h[-a], iterating the smaller g**(k-h).  Then
+    c_k = c_0(g**k) / D**k.  h is the cheapest split: one more power costs
+    more dict updates than the pairing lookups it would save.
     """
     if up_to < 0:
         raise ValueError("up_to must be nonnegative")
-    powers, denom, _ = _half_powers(f, (up_to + 1) // 2, (0,) * f.rank)
+    h = (up_to + 1) // 2
+    powers, denom, _ = _half_powers(f, h, (0,) * f.rank)
+    constants = [p.get(0, 0) for p in powers]
+    constants += [_pair(powers[h], powers[k - h], 0) for k in range(h + 1, up_to + 1)]
     coeffs = []
     scale = 1
-    for k in range(up_to + 1):
-        coeffs.append(Fraction(_pair(powers[(k + 1) // 2], powers[k // 2], 0), scale))
+    for c in constants:
+        coeffs.append(Fraction(c, scale))
         scale *= denom
     return PeriodSequence("computed", tuple(coeffs), "computed")
 
@@ -123,7 +140,7 @@ def period_sequence(f: LaurentPoly, up_to: int) -> PeriodSequence:
 def power_coefficient(f: LaurentPoly, r: int, t: Sequence[int]) -> Fraction:
     """The coefficient of x**t in f**r, exactly, without building f**r.
 
-    Pairs g**ceil(r/2) with g**floor(r/2) at t - a (see ``period_sequence``),
+    Pairs g**ceil(r/2) with g**floor(r/2) at t - a (see ``_half_powers``),
     and returns 0 at once when t lies outside r times the bounding box of the
     support of f.
     """

@@ -104,6 +104,8 @@ MALFORMED = [
     ("cover-functional-linear-malformed", ["cover", "--spec", dict(
         COVER, functional={"linear": 0, "constant": "1"})], 2, ["functional", "'linear'"]),
     ("crit-starts", ["crit", *EXPR, "--starts", "-3"], 2, ["--starts"]),
+    ("crit-seed-negative", ["crit", *EXPR, "--starts", "3", "--seed", "-1"],
+     2, ["--seed must be nonnegative, got -1"]),
     ("reference-coeffs-not-list", ["check-weak-lg", *EXPR, "-K", "2", "--reference",
                                    {"coeffs": 5}], 2, ["'coeffs'"]),
     ("output-in-missing-directory", ["period", *EXPR, "-K", "2", "--output",

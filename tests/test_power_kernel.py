@@ -67,7 +67,7 @@ def test_power_coefficient_wide_exponents(f, r, data):
     LaurentPoly.monomial(3, (2, -1, 4), Fraction(2, 3)),
     parse_poly("x + y + 1/(x*y)", ["x", "y"]),
 ], ids=["zero", "constant", "monomial", "P2"])
-@pytest.mark.parametrize("up_to", [0, 1, 6])
+@pytest.mark.parametrize("up_to", [0, 1, 2, 3, 6, 7])
 def test_degenerate_potentials(f, up_to):
     assert list(period_sequence(f, up_to).coeffs) == naive_periods(f, up_to)
     for r in range(up_to + 1):
