@@ -6,7 +6,10 @@ files (file contents win on conflict, with a warning); cover and ledger read
 only --spec.  Output is a text table or stable-key-ordered JSON, byte-identical
 across runs.  Only crit is random and takes --seed; every other command is
 exact and records seed 0 in its provenance.  Exit codes: 0 success, 1
-computation error, 2 usage or parse error.
+computation error, 2 usage or parse error.  crit loads numpy with one BLAS
+thread unless the user set a thread count (OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS, MKL_NUM_THREADS or OMP_NUM_THREADS), and leaves os.environ
+as it found it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -227,6 +231,21 @@ def _cmd_crit(args):
     # hashes are the same as those of releases that had --tol and --max-iter.
     raw.update({"starts": opts.starts, "tol": TOL, "max_iter": MAX_ITER})
     f = parse_poly(expr, varnames)
+    if "numpy" not in sys.modules:
+        # crit's Newton systems are n x n with n the number of variables, so
+        # a BLAS thread pool does no work here; it only costs start-up, as its
+        # workers spin while numpy loads.  One thread unless the user set a
+        # count: OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and MKL_NUM_THREADS
+        # take precedence over OMP_NUM_THREADS, and an OMP_NUM_THREADS already
+        # set is kept.  The variable is set for this import only, so no child
+        # process inherits it.
+        unset = "OMP_NUM_THREADS" not in os.environ
+        os.environ.setdefault("OMP_NUM_THREADS", "1")
+        try:
+            import numpy  # noqa: F401
+        finally:
+            if unset:
+                del os.environ["OMP_NUM_THREADS"]
     search = critical_points(f, opts)
     if not search.points and not search.degenerate_input:
         print(f"warning: crit found no critical point from {opts.starts} starts",

@@ -143,44 +143,47 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
     rng = np.random.default_rng(opts.seed)
     log_r = math.log(START_RADIUS)
     converged: list[tuple[int, np.ndarray]] = []  # (start index, point)
-    for first in range(0, opts.starts, BLOCK):
-        block = []
-        for _ in range(min(BLOCK, opts.starts - first)):
-            radii = np.exp(rng.uniform(-log_r, log_r, n))
-            phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
-            block.append(radii * phases)
-        z = np.array(block)
-        index = np.arange(first, first + len(block))
-        for _ in range(MAX_ITER):
-            if not len(z):
-                break
-            m = monomials(z)
-            g = _evaluate_block(m, grad)
-            finite = np.isfinite(g).all(axis=1)
-            done = finite & (np.abs(g).max(axis=1) < TOL)
-            converged.extend(zip(index[done], z[done]))
-            live = finite & ~done
-            z, m, g, index = z[live], m[live], g[live], index[live]
-            h = log_hessian(m)
-            moved = np.ones(len(z), dtype=bool)
-            try:
-                delta = np.linalg.solve(h, g[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                delta = np.zeros_like(g)
-                for r in range(len(z)):
-                    try:
-                        delta[r] = np.linalg.solve(h[r], g[r])
-                    except np.linalg.LinAlgError:
-                        z[r] = z[r] * np.exp(1e-6 + 1e-6j)  # nudge off the singular locus
-                        moved[r] = False
-            step = np.abs(delta).max(axis=1)
-            wild = step > 5.0
-            delta[wild] *= (5.0 / step[wild])[:, None]  # damp wild steps far from a root
-            z = np.where(moved[:, None], z * np.exp(-delta), z)
-            mags = np.abs(z)
-            escaped = moved & ((mags.max(axis=1) > COORD_BOUND)
-                               | (mags.min(axis=1) < 1.0 / COORD_BOUND))
-            z, index = z[~escaped], index[~escaped]
+    # starts that overflow or go NaN are dropped below as non-finite rows,
+    # so numpy's RuntimeWarnings about them would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, opts.starts, BLOCK):
+            block = []
+            for _ in range(min(BLOCK, opts.starts - first)):
+                radii = np.exp(rng.uniform(-log_r, log_r, n))
+                phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+                block.append(radii * phases)
+            z = np.array(block)
+            index = np.arange(first, first + len(block))
+            for _ in range(MAX_ITER):
+                if not len(z):
+                    break
+                m = monomials(z)
+                g = _evaluate_block(m, grad)
+                finite = np.isfinite(g).all(axis=1)
+                done = finite & (np.abs(g).max(axis=1) < TOL)
+                converged.extend(zip(index[done], z[done]))
+                live = finite & ~done
+                z, m, g, index = z[live], m[live], g[live], index[live]
+                h = log_hessian(m)
+                moved = np.ones(len(z), dtype=bool)
+                try:
+                    delta = np.linalg.solve(h, g[:, :, None])[:, :, 0]
+                except np.linalg.LinAlgError:
+                    delta = np.zeros_like(g)
+                    for r in range(len(z)):
+                        try:
+                            delta[r] = np.linalg.solve(h[r], g[r])
+                        except np.linalg.LinAlgError:
+                            z[r] = z[r] * np.exp(1e-6 + 1e-6j)  # nudge off the singular locus
+                            moved[r] = False
+                step = np.abs(delta).max(axis=1)
+                wild = step > 5.0
+                delta[wild] *= (5.0 / step[wild])[:, None]  # damp wild steps far from a root
+                z = np.where(moved[:, None], z * np.exp(-delta), z)
+                mags = np.abs(z)
+                escaped = moved & ((mags.max(axis=1) > COORD_BOUND)
+                                   | (mags.min(axis=1) < 1.0 / COORD_BOUND))
+                z, index = z[~escaped], index[~escaped]
 
     # exact re-check, canonical order, dedupe
     checked = []

@@ -249,12 +249,57 @@ def test_version_flag():
     assert err.value.code == 0
 
 
+# BLAS thread counts that numpy's BLAS reads at import; every child below runs
+# without them, as a user who never set one would.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def child_env(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
+
+
+def run_child(args, env):
+    """A fresh interpreter in the repo root; stdout and stderr as bytes."""
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("entry", [e for e in MANIFEST if e["argv"][0] == "crit"],
+                         ids=lambda e: e["name"])
+def test_crit_golden_in_a_fresh_process(entry):
+    # test_golden runs in-process, after pytest has loaded numpy with its
+    # default BLAS pool; here crit loads numpy itself, with one BLAS thread
+    golden = (ROOT / "cases" / "golden" / f"{entry['name']}.json").read_bytes()
+    proc = run_child(["-m", "lgforge", *entry["argv"], "--format", "json"], child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == golden
+
+
+@pytest.mark.parametrize("expr, vars_, starts", [
+    ("x^1000+x^-1000", "x", 5),
+    ("x^300*y^-300+y^200+1/x", "x,y", 40),
+])
+def test_crit_stderr_has_no_numpy_warnings(expr, vars_, starts):
+    # every start overflows; numpy's RuntimeWarnings about the dropped rows
+    # must not reach the user, only crit's own warning
+    proc = run_child(["-m", "lgforge", "crit", "--expr", expr, "--vars", vars_,
+                      "--starts", str(starts)], child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == f"warning: crit found no critical point from {starts} starts\n".encode()
+
+
 # Runs in a fresh interpreter: every non-crit golden command, then one small
 # crit search, through lgforge.cli.main; prints the exit codes, whether numpy
-# was loaded after each stage, and which of dataclasses and inspect (whose
-# import once cost every command's start-up) the exact commands loaded.
+# was loaded after each stage, which of dataclasses and inspect (whose import
+# once cost every command's start-up) the exact commands loaded, whether crit
+# left os.environ as it found it, the OPENBLAS_NUM_THREADS it left, and the
+# process's thread count afterwards (Linux only; null elsewhere).
 NUMPY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from pathlib import Path
 from lgforge.cli import build_parser, main
 
@@ -266,20 +311,43 @@ manifest = json.loads(Path("cases/golden_manifest.json").read_text())
 codes = [run(e["argv"]) for e in manifest if e["argv"][0] != "crit"]
 exact = "numpy" in sys.modules
 stdlib = [name for name in ("dataclasses", "inspect") if name in sys.modules]
+before = dict(os.environ)
 codes.append(run(["crit", "--expr", "x + 1/x", "--vars", "x", "--starts", "2"]))
+linux = sys.platform.startswith("linux")
 print(json.dumps({"codes": codes, "exact": exact, "stdlib": stdlib,
-                  "crit": "numpy" in sys.modules}))
+                  "crit": "numpy" in sys.modules,
+                  "environ_kept": dict(os.environ) == before,
+                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": len(os.listdir("/proc/self/task")) if linux else None}))
 """
 
 
-def test_only_crit_imports_numpy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+def run_numpy_probe(env):
+    proc = run_child(["-c", NUMPY_PROBE], env)
+    assert proc.returncode == 0, proc.stderr.decode()
     seen = json.loads(proc.stdout)
     assert seen["codes"] == [0] * (sum(e["argv"][0] != "crit" for e in MANIFEST) + 1)
     assert not seen["exact"], "a command other than crit imported numpy"
     assert seen["stdlib"] == [], f"the exact commands imported {seen['stdlib']}"
     assert seen["crit"]
+    assert seen["environ_kept"], "crit left os.environ changed"
+    return seen
+
+
+def test_only_crit_imports_numpy():
+    seen = run_numpy_probe(child_env())
+    if seen["threads"] is not None:
+        assert seen["threads"] == 1, "crit loaded numpy with a BLAS thread pool"
+
+
+def test_crit_keeps_a_blas_thread_count_the_user_set():
+    env = child_env(OPENBLAS_NUM_THREADS="2")
+    seen = run_numpy_probe(env)
+    assert seen["openblas"] == "2"
+    if seen["threads"] is None:
+        pytest.skip("thread counts are read from /proc/self/task, on Linux only")
+    # OpenBLAS caps the count at the number of CPUs, so compare with the
+    # count a bare import gets under the same environment
+    bare = run_child(["-c", "import os, numpy; print(len(os.listdir('/proc/self/task')))"], env)
+    assert bare.returncode == 0, bare.stderr.decode()
+    assert seen["threads"] == int(bare.stdout)

@@ -1,5 +1,6 @@
 import cmath
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -167,6 +168,20 @@ def test_monomial_has_no_critical_points():
     search = critical_points(f, SolverOptions(starts=30, seed=0))
     assert not search.degenerate_input
     assert not search.points
+
+
+@pytest.mark.parametrize("expr, vars_, starts", [
+    ("x^1000+x^-1000", ["x"], 5),
+    ("x^300*y^-300+y^200+1/x", ["x", "y"], 40),
+])
+def test_starts_that_overflow_are_dropped_without_warnings(expr, vars_, starts):
+    # these starts overflow to inf and NaN; the search drops them as
+    # non-finite rows and must not print numpy RuntimeWarnings about them
+    f = parse_poly(expr, vars_)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        search = critical_points(f, SolverOptions(starts=starts, seed=0))
+    assert not search.points and not search.degenerate_input
 
 
 def test_same_seed_same_output():
