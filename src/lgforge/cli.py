@@ -9,12 +9,14 @@ exact and records seed 0 in its provenance.  Exit codes: 0 success, 1
 computation error, 2 usage or parse error.  crit loads numpy with one BLAS
 thread unless the user set a thread count (OPENBLAS_NUM_THREADS,
 GOTO_NUM_THREADS, MKL_NUM_THREADS or OMP_NUM_THREADS), and leaves os.environ
-as it found it.
+as it found it.  ``run`` is the process entry (``python -m lgforge`` and the
+``lgforge`` script); ``main`` is the same without its garbage-collector policy.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -47,7 +49,7 @@ _USAGE_ERRORS = (ExprSyntaxError, ReferenceFormatError, OSError, ValueError)
 
 
 def _frac_json(c: Fraction):
-    return int(c) if c.denominator == 1 else str(c)
+    return c.numerator if c.denominator == 1 else str(c)
 
 
 def _complex_json(z: complex) -> dict:
@@ -569,8 +571,29 @@ def main(argv=None) -> int:
     except LGForgeError as exc:
         print(f"lgforge: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("lgforge: out of memory", file=sys.stderr)
+        return 1
     return 0
 
 
+def run() -> None:
+    """The process entry of ``python -m lgforge`` and the ``lgforge`` script:
+    ``main`` without the cyclic garbage collector, then exit with its code.
+
+    No command makes reference cycles; the argparse parser's few hundred
+    objects are the only cyclic garbage, whatever the work.  So the
+    collector's passes free nothing here and only cost time, during numpy's
+    import and again at interpreter exit, which collects every tracked object
+    not frozen.  ``main`` itself leaves the collector alone, so a program that
+    calls it in-process keeps its own policy.
+    """
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -14,6 +14,13 @@ would on its own, so the points found are bit for bit those of a one-start
 loop.  Residuals of reported points are re-checked through the exact
 polynomial evaluator, independently of the numpy arithmetic of the Newton
 steps.
+
+Start i takes n log-radii, uniform in [-log START_RADIUS, log START_RADIUS],
+then n phases, uniform in [0, 1) turns, from one stream per search.  The
+stream is PCG64 seeded through SeedSequence, written with Python ints, and
+draws bit for bit what ``numpy.random.default_rng(seed).uniform`` draws, so
+the same seed gives the same points as a numpy generator would while no
+search loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -105,6 +112,67 @@ def _evaluate_block(m: np.ndarray, entries) -> np.ndarray:
     return out
 
 
+def _uniform_stream(seed: int):
+    """``numpy.random.default_rng(seed).uniform`` in Python ints and floats.
+
+    The returned ``uniform(lo, hi, size)`` draws the same doubles in the same
+    order as numpy's.  Seeding follows numpy's SeedSequence: the seed's
+    32-bit words are hashed into a pool of four words, from which eight more
+    are drawn to make the 128-bit state and increment of PCG64 (O'Neill
+    2014).  Each draw steps the LCG and applies the XSL-RR output; a double
+    keeps its top 53 bits.
+    """
+    if seed < 0:
+        raise ValueError(f"expected a non-negative seed, got {seed}")
+    mask = 0xFFFFFFFF
+
+    def hasher(const: int, mult: int):
+        def hash32(value: int) -> int:
+            nonlocal const
+            value ^= const
+            const = const * mult & mask
+            value = value * const & mask
+            return value ^ value >> 16
+        return hash32
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & mask
+        return value ^ value >> 16
+
+    words = [seed & mask]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & mask)
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # SeedSequence.generate_state(4, uint64): eight words, low word first
+    draw = hasher(0x8B51F9DD, 0x58F38DED)
+    out = [draw(pool[i % 4]) for i in range(8)]
+    s0, s1, s2, s3 = (out[i] | out[i + 1] << 32 for i in range(0, 8, 2))
+    init, inc = s0 << 64 | s1, (s2 << 64 | s3) << 1 | 1  # PCG64's seed and stream
+    mult, mask128, mask64 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1, (1 << 64) - 1
+    state = ((inc + init) * mult + inc) & mask128  # two LCG steps from 0, adding init between
+
+    def uniform(lo: float, hi: float, size: int) -> list[float]:
+        nonlocal state
+        draws = []
+        for _ in range(size):
+            state = (state * mult + inc) & mask128
+            word, rot = (state >> 64 ^ state) & mask64, state >> 122
+            word = (word >> rot | word << (64 - rot)) & mask64
+            draws.append(lo + (hi - lo) * ((word >> 11) * 2.0 ** -53))
+        return draws
+
+    return uniform
+
+
 def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> CriticalSearch:
     """Newton search for critical points from seeded random starts.
 
@@ -140,7 +208,7 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
         h[:, rows, cols] = h[:, cols, rows] = _evaluate_block(m, hess)
         return h
 
-    rng = np.random.default_rng(opts.seed)
+    uniform = _uniform_stream(opts.seed)
     log_r = math.log(START_RADIUS)
     converged: list[tuple[int, np.ndarray]] = []  # (start index, point)
     # starts that overflow or go NaN are dropped below as non-finite rows,
@@ -149,8 +217,8 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
         for first in range(0, opts.starts, BLOCK):
             block = []
             for _ in range(min(BLOCK, opts.starts - first)):
-                radii = np.exp(rng.uniform(-log_r, log_r, n))
-                phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+                radii = np.exp(np.array(uniform(-log_r, log_r, n)))
+                phases = np.exp(2j * np.pi * np.array(uniform(0.0, 1.0, n)))
                 block.append(radii * phases)
             z = np.array(block)
             index = np.arange(first, first + len(block))

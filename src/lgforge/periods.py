@@ -32,7 +32,8 @@ class PeriodSequence:
             raise ValueError("a period sequence stores at least c_0")
         if self.coeffs[0] != 1:
             raise ValueError(f"c_0 must be 1, got {self.coeffs[0]}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(  # a Fraction is kept, not copied
+            c if type(c) is Fraction else Fraction(c) for c in self.coeffs))
 
     @property
     def max_power(self) -> int:
@@ -220,8 +221,9 @@ def _assemble(pairs: list[tuple[int, Fraction]], name: str) -> PeriodSequence:
         seen[k] = c
     if 0 in seen and seen[0] != 1:
         raise ReferenceFormatError(f"c_0 of a regularized period must be 1, got {seen[0]}")
-    top = max(seen)
-    coeffs = [seen.get(k, Fraction(0)) for k in range(top + 1)]
+    coeffs = [Fraction(0)] * (max(seen) + 1)  # one shared zero fills the gaps
+    for k, c in seen.items():
+        coeffs[k] = c
     coeffs[0] = Fraction(1)
     return PeriodSequence(name, tuple(coeffs), "ingested")
 

@@ -1,4 +1,6 @@
 import argparse
+import gc
+import importlib
 import io
 import json
 import os
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lgforge.cli import build_parser, main
+from lgforge.cli import build_parser, main, run
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = json.loads((ROOT / "cases" / "golden_manifest.json").read_text())
@@ -351,3 +353,99 @@ def test_crit_keeps_a_blas_thread_count_the_user_set():
     bare = run_child(["-c", "import os, numpy; print(len(os.listdir('/proc/self/task')))"], env)
     assert bare.returncode == 0, bare.stderr.decode()
     assert seen["threads"] == int(bare.stdout)
+
+
+def test_crit_child_does_not_load_numpy_random():
+    # -X importtime lists on stderr every module the child imports
+    proc = run_child(["-X", "importtime", "-m", "lgforge", "crit", "--expr", "x + 1/x",
+                      "--vars", "x", "--starts", "2"], child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()
+              if line.startswith("import time:")}
+    assert "numpy" in loaded
+    assert not {m for m in loaded if m == "numpy.random" or m.startswith("numpy.random.")}
+
+
+# Runs `python -m lgforge` with lgforge.cli.main replaced by a stub that
+# prints whether the collector is on and returns 3; prints at exit whether
+# any object was frozen.
+ENTRY_PROBE = """
+import atexit, gc, runpy
+import lgforge.cli as cli
+
+def stub():
+    print("collector on:", gc.isenabled())
+    return 3
+
+cli.main = stub
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0))
+runpy.run_module("lgforge", run_name="__main__")
+"""
+
+
+def test_both_process_entries_run_without_the_collector():
+    proc = run_child(["-c", ENTRY_PROBE], child_env())
+    assert proc.returncode == 3, proc.stderr.decode()
+    assert proc.stdout == b"collector on: False\nfrozen: True\n"
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["lgforge"].partition(":")
+    assert getattr(importlib.import_module(module), name) is run
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert run_cli(["period", "--expr", "x+1/x", "--vars", "x", "-K", "4"], capsys)[0] == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+# Runs every golden-manifest command, then a deep period and a 2,000-start
+# crit, through lgforge.cli.main with the collector off, and prints how many
+# unreachable objects gc.collect() finds after each, next to the count that
+# building the argparse parser alone leaves.  numpy is imported first: its
+# import leaves a fixed few hundred once, whatever the command does after.
+CYCLE_PROBE = """
+import contextlib, gc, io, json, sys
+from pathlib import Path
+import numpy
+from lgforge.cli import build_parser, main
+
+extra = [["period", "--expr", "x+y+1/(x*y)", "--vars", "x,y", "-K", "120"],
+         ["crit", "--expr", "x+y+1/(x*y)", "--vars", "x,y", "--starts", "2000"]]
+argvs = [e["argv"] for e in json.loads(Path("cases/golden_manifest.json").read_text())] + extra
+gc.disable()
+gc.collect()
+build_parser()
+found = {"parser": gc.collect()}
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    found[" ".join(argv)] = [code, gc.collect()]
+print(json.dumps(found))
+"""
+
+
+def test_commands_make_no_reference_cycles():
+    # so running the CLI without the cyclic collector leaves nothing uncollected
+    proc = run_child(["-c", CYCLE_PROBE], child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    found = json.loads(proc.stdout)
+    parser = found.pop("parser")
+    assert parser > 0
+    assert len(found) == len(MANIFEST) + 2
+    assert {cmd: code for cmd, (code, _) in found.items() if code} == {}
+    assert {cmd: n for cmd, (_, n) in found.items() if n > parser} == {}
+
+
+def test_a_reference_too_large_for_memory_is_an_error_not_a_traceback(tmp_path):
+    # one row at k = 10^9 asks for a list of 10^9 coefficients; under a 512 MB
+    # address-space limit, set in the child only, that allocation fails at once
+    pytest.importorskip("resource")
+    ref = tmp_path / "ref.csv"
+    ref.write_text("k,coeff\n1000000000,1\n")
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))"
+    proc = run_child(["-c", f"{limit}\nfrom lgforge.cli import run\nrun()",
+                      "check-weak-lg", "--expr", "x+1/x", "--vars", "x", "-K", "2",
+                      "--reference", str(ref)], child_env())
+    assert (proc.returncode, proc.stderr) == (1, b"lgforge: out of memory\n")

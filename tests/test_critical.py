@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 import warnings
 
@@ -219,6 +220,36 @@ def test_hypersurface_family_closed_form(n, d):
     assert len(got) == len(expected)
     for u, w in zip(got, expected):
         assert abs(u - w) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# start stream: numpy's default_rng(seed).uniform, draw for draw
+# ---------------------------------------------------------------------------
+
+# 2^32 - 1 and up take more than one 32-bit word of SeedSequence entropy, and
+# 2^128 + 3 more words than its pool holds; 183037826 is the seed of the
+# benchmark's solver probes
+STREAM_SEEDS = [*range(300), 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 128 + 3, 183037826]
+
+
+def test_start_stream_draws_what_numpy_draws():
+    np = pytest.importorskip("numpy")
+    log_r = math.log(critical.START_RADIUS)
+    for seed in STREAM_SEEDS:
+        ours, theirs = critical._uniform_stream(seed), np.random.default_rng(seed)
+        for n in (1, 2, 3, 4):
+            for lo, hi in ((-log_r, log_r), (0.0, 1.0)):
+                got = [x.hex() for x in ours(lo, hi, n)]
+                want = [x.hex() for x in theirs.uniform(lo, hi, n).tolist()]
+                assert got == want, f"seed {seed}, uniform({lo}, {hi}, {n})"
+
+
+def test_start_stream_rejects_a_negative_seed():
+    np = pytest.importorskip("numpy")
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        critical._uniform_stream(-1)
 
 
 # ---------------------------------------------------------------------------

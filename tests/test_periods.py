@@ -130,6 +130,16 @@ def test_ingest_csv(tmp_path):
     assert [oracles.p1xp1_constant_term(k) for k in range(5)] == [1, 0, 4, 0, 36]
 
 
+def test_ingest_fills_gaps_with_one_shared_zero(tmp_path):
+    # a gap costs one list slot, not a Fraction of its own
+    path = tmp_path / "sparse.csv"
+    path.write_text("k,coeff\n3,6\n100000,1\n")
+    seq = ingest_reference(path)
+    assert seq.max_power == 100000
+    assert seq.coeffs[:4] == (1, 0, 0, 6) and seq.coeffs[-1] == 1
+    assert len({id(c) for c in seq.coeffs[1:-1] if c == 0}) == 1
+
+
 def test_ingest_json(tmp_path):
     path = tmp_path / "p2.json"
     path.write_text('{"name": "P2", "coeffs": [[3, "6"], [6, "90"]]}')
