@@ -9,21 +9,36 @@ exact and records seed 0 in its provenance.  Exit codes: 0 success, 1
 computation error, 2 usage or parse error.  crit loads numpy with one BLAS
 thread unless the user set a thread count (OPENBLAS_NUM_THREADS,
 GOTO_NUM_THREADS, MKL_NUM_THREADS or OMP_NUM_THREADS), and leaves os.environ
-as it found it.  ``run`` is the process entry (``python -m lgforge`` and the
-``lgforge`` script); ``main`` is the same without its garbage-collector policy.
+as it found it.  No command loads OpenSSL: the provenance digest comes from
+CPython's builtin SHA-256 (hashlib only where the build lacks it).  ``run``
+is the process entry (``python -m lgforge`` and the ``lgforge`` script): it
+turns the cyclic garbage collector off and lifts CPython's 4300-digit limit
+on int/str conversion, so exact results of any size print; ``main`` is the
+same without those two process settings.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import math
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+# hashlib loads OpenSSL's libcrypto, about 3 MB of RSS and 4 ms per process,
+# for one digest of a few hundred bytes; CPython's builtin SHA-256 gives the
+# same digest.  It is _sha2 from 3.12 and _sha256 before; a build without
+# either falls back to hashlib.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .cover import (
@@ -136,7 +151,7 @@ def _expr_inputs(args) -> tuple[str, list[str], dict]:
 def _provenance(command: str, inputs: dict, seed: int) -> dict:
     blob = json.dumps({"command": command, "inputs": inputs}, sort_keys=True, default=str)
     return {
-        "input_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "input_sha256": sha256(blob.encode()).hexdigest(),
         "seed": seed,
         "version": __version__,
     }
@@ -579,16 +594,22 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The process entry of ``python -m lgforge`` and the ``lgforge`` script:
-    ``main`` without the cyclic garbage collector, then exit with its code.
+    ``main`` without the cyclic garbage collector and without the limit on
+    integer digits, then exit with its code.
 
     No command makes reference cycles; the argparse parser's few hundred
     objects are the only cyclic garbage, whatever the work.  So the
     collector's passes free nothing here and only cost time, during numpy's
     import and again at interpreter exit, which collects every tracked object
-    not frozen.  ``main`` itself leaves the collector alone, so a program that
-    calls it in-process keeps its own policy.
+    not frozen.  Exact results, reference coefficients and expression
+    literals may have any number of digits, and CPython (3.10.7+) refuses to
+    convert an int of more than 4300 digits to or from text by default.
+    ``main`` itself leaves both settings alone, so a program that calls it
+    in-process keeps its own.
     """
     gc.disable()
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7, which has no limit
+        sys.set_int_max_str_digits(0)
     try:
         sys.exit(main())
     finally:

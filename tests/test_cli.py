@@ -296,10 +296,11 @@ def test_crit_stderr_has_no_numpy_warnings(expr, vars_, starts):
 
 # Runs in a fresh interpreter: every non-crit golden command, then one small
 # crit search, through lgforge.cli.main; prints the exit codes, whether numpy
-# was loaded after each stage, which of dataclasses and inspect (whose import
-# once cost every command's start-up) the exact commands loaded, whether crit
-# left os.environ as it found it, the OPENBLAS_NUM_THREADS it left, and the
-# process's thread count afterwards (Linux only; null elsewhere).
+# was loaded after each stage, which of dataclasses, inspect and _hashlib
+# (OpenSSL's libcrypto; each import once cost every command's start-up) the
+# exact commands loaded, whether crit left os.environ as it found it, the
+# OPENBLAS_NUM_THREADS it left, and the process's thread count afterwards
+# (Linux only; null elsewhere).
 NUMPY_PROBE = """
 import contextlib, io, json, os, sys
 from pathlib import Path
@@ -312,7 +313,7 @@ def run(argv):
 manifest = json.loads(Path("cases/golden_manifest.json").read_text())
 codes = [run(e["argv"]) for e in manifest if e["argv"][0] != "crit"]
 exact = "numpy" in sys.modules
-stdlib = [name for name in ("dataclasses", "inspect") if name in sys.modules]
+stdlib = [name for name in ("dataclasses", "inspect", "_hashlib") if name in sys.modules]
 before = dict(os.environ)
 codes.append(run(["crit", "--expr", "x + 1/x", "--vars", "x", "--starts", "2"]))
 linux = sys.platform.startswith("linux")
@@ -355,15 +356,26 @@ def test_crit_keeps_a_blas_thread_count_the_user_set():
     assert seen["threads"] == int(bare.stdout)
 
 
-def test_crit_child_does_not_load_numpy_random():
-    # -X importtime lists on stderr every module the child imports
+@pytest.fixture(scope="module")
+def crit_child_imports() -> set[str]:
+    """Every module a `crit` child imports: -X importtime lists them on stderr."""
     proc = run_child(["-X", "importtime", "-m", "lgforge", "crit", "--expr", "x + 1/x",
                       "--vars", "x", "--starts", "2"], child_env())
     assert proc.returncode == 0, proc.stderr.decode()
     loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()
               if line.startswith("import time:")}
     assert "numpy" in loaded
-    assert not {m for m in loaded if m == "numpy.random" or m.startswith("numpy.random.")}
+    return loaded
+
+
+def test_crit_child_does_not_load_numpy_random(crit_child_imports):
+    assert not {m for m in crit_child_imports
+                if m == "numpy.random" or m.startswith("numpy.random.")}
+
+
+def test_crit_child_does_not_load_openssl(crit_child_imports):
+    # numpy does not load _hashlib either, so no child of any command does
+    assert "_hashlib" not in crit_child_imports
 
 
 # Runs `python -m lgforge` with lgforge.cli.main replaced by a stub that
@@ -449,3 +461,72 @@ def test_a_reference_too_large_for_memory_is_an_error_not_a_traceback(tmp_path):
                       "check-weak-lg", "--expr", "x+1/x", "--vars", "x", "-K", "2",
                       "--reference", str(ref)], child_env())
     assert (proc.returncode, proc.stderr) == (1, b"lgforge: out of memory\n")
+
+
+# Runs every non-crit golden command through lgforge.cli.main in a fresh
+# interpreter where neither builtin SHA-256 module (_sha2 from 3.12, _sha256
+# before) can be imported, so cli falls back to hashlib; prints each report
+# with its exit code, and whether OpenSSL's _hashlib was loaded.
+FALLBACK_PROBE = """
+import contextlib, io, json, sys
+from pathlib import Path
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from lgforge.cli import main
+
+reports = {}
+for e in json.loads(Path("cases/golden_manifest.json").read_text()):
+    if e["argv"][0] != "crit":
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            reports[e["name"]] = [main(e["argv"] + ["--format", "json"]), out.getvalue()]
+print(json.dumps({"hashlib": "_hashlib" in sys.modules, "reports": reports}))
+"""
+
+
+def test_exact_goldens_hash_the_same_through_the_hashlib_fallback():
+    proc = run_child(["-c", FALLBACK_PROBE], child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    seen = json.loads(proc.stdout)
+    assert seen["hashlib"], "the fallback did not load hashlib's OpenSSL digest"
+    want = {e["name"]: [0, (ROOT / "cases" / "golden" / f"{e['name']}.json").read_text()]
+            for e in MANIFEST if e["argv"][0] != "crit"}
+    assert seen["reports"] == want
+
+
+def child_result(args) -> dict:
+    """The JSON result of `python -m lgforge <args>`, its integers kept as
+    digit strings, so this process needs no limit lifted to read them."""
+    proc = run_child(["-m", "lgforge", *args, "--format", "json"], child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout, parse_int=str)["result"]
+
+
+# CPython refuses by default to convert an int of more than 4300 digits to or
+# from text; the process entry lifts that limit
+def test_a_result_of_more_than_4300_digits_prints():
+    result = child_result(["period", "--expr", "10^2200*x+10^2200/x", "--vars", "x", "-K", "2"])
+    assert result["coeffs"] == ["1", "0", "2" + "0" * 4400]
+
+
+def test_an_expression_literal_of_5000_digits_parses():
+    literal = "1" * 5000
+    result = child_result(["period", "--expr", f"{literal}*x + 1/x", "--vars", "x", "-K", "2"])
+    assert result["coeffs"] == ["1", "0", "2" * 5000]
+
+
+def test_a_reference_coefficient_of_5000_digits_reads(tmp_path):
+    ref = tmp_path / "ref.csv"
+    digits = "1" + "0" * 4999
+    ref.write_text(f"k,coeff\n0,1\n1,0\n2,{digits}\n")
+    result = child_result(["check-weak-lg", "--expr", "5*10^4998*x + 1/x", "--vars", "x",
+                           "-K", "2", "--reference", str(ref)])
+    assert result["rows"] == [{"computed": digits, "k": "2", "match": True, "reference": digits}]
+    assert result["passed"]
+
+
+def test_main_keeps_the_callers_digit_limit(capsys):
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        pytest.skip("this Python has no limit on integer digits")
+    limit = get_limit()
+    assert run_cli(["period", "--expr", "x+1/x", "--vars", "x", "-K", "4"], capsys)[0] == 0
+    assert get_limit() == limit

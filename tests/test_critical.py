@@ -16,7 +16,8 @@ from lgforge import (
     log_gradient,
     parse_poly,
 )
-from lgforge.potentials import fano_hypersurface_quotient
+from lgforge.periods import period_sequence
+from lgforge.potentials import fano_hypersurface_quotient, projective_space
 
 import oracles
 
@@ -220,6 +221,48 @@ def test_hypersurface_family_closed_form(n, d):
     assert len(got) == len(expected)
     for u, w in zip(got, expected):
         assert abs(u - w) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the conifold point: an exact anchor for the solver
+# ---------------------------------------------------------------------------
+
+def conifold_value_from_periods(f, up_to):
+    """T from the exact period sequence.  For f with positive coefficients and
+    0 inside its Newton polytope, Laplace's method on c_k = (2 pi)^-n int f^k
+    gives c_k ~ A T^k k^(-n/2) on the k where c_k is nonzero, T the value of
+    f's one critical point x_c in the positive orthant.  Fit log c_k +
+    (n/2) log k = k log T + a_0 + a_1/k + ... + a_4/k^4 over the last six
+    nonzero c_k."""
+    import numpy as np
+
+    coeffs = period_sequence(f, up_to).coeffs
+    ks = [k for k, c in enumerate(coeffs) if k and c][-6:]
+    rows = [[k] + [k ** -j for j in range(5)] for k in ks]
+    rhs = [math.log(coeffs[k]) + f.rank / 2 * math.log(k) for k in ks]
+    log_t = np.linalg.lstsq(np.array(rows, dtype=float), np.array(rhs), rcond=None)[0][0]
+    return math.exp(log_t)
+
+
+@pytest.mark.parametrize("f, up_to", [
+    (projective_space(2), 90),
+    (projective_space(3), 40),
+    (parse_poly("x + (1+y)^2/(x*y)", ["x", "y"]), 60),
+    (fano_hypersurface_quotient(2, 1), 50),
+    (fano_hypersurface_quotient(2, 2), 50),
+    (fano_hypersurface_quotient(3, 1), 30),
+    (fano_hypersurface_quotient(3, 2), 30),
+    (fano_hypersurface_quotient(3, 3), 30),
+    (fano_hypersurface_quotient(4, 3), 20),
+], ids=["P2", "P3", "quadric", "X2_1", "X2_2", "X3_1", "X3_2", "X3_3", "X4_3"])
+def test_crit_finds_the_conifold_point_the_periods_predict(f, up_to):
+    # the exact layer checks the numerical one on a point known independently
+    conifold = conifold_value_from_periods(f, up_to)
+    points = critical_points(f, SolverOptions(starts=200, seed=0)).points
+    positive = [p.value for p in points
+                if all(z.real > 0 and abs(z.imag) <= 1e-9 * z.real for z in p.coords)]
+    assert positive, "no critical point in the positive orthant"
+    assert min(abs(v - conifold) for v in positive) <= 1e-6 * conifold
 
 
 # ---------------------------------------------------------------------------
