@@ -15,6 +15,17 @@ is the process entry (``python -m lgforge`` and the ``lgforge`` script): it
 turns the cyclic garbage collector off and lifts CPython's 4300-digit limit
 on int/str conversion, so exact results of any size print; ``main`` is the
 same without those two process settings.
+
+Every command needs ``errors`` and ``parsing`` (and through it ``laurent``
+and ``_record``), so those load with this module.  The other layers come as
+lazy modules from the package (``lgforge.__getattr__``) and are called as
+``periods.period_sequence(...)`` and so on, so each runs its body on the
+first call into it: ``eval`` runs no further layer, ``period`` and
+``check-weak-lg`` run ``periods``, ``crit`` runs ``critical``, ``quotient``
+runs ``lattice``, ``mutate`` and ``compare`` run ``mutation`` and
+``periods``, and ``cover``, ``tangency`` and ``ledger`` run ``cover``,
+``lattice`` and ``periods``.  A ``from .<layer> import name`` here would
+load its layer with this module.
 """
 
 from __future__ import annotations
@@ -40,25 +51,10 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from . import __version__
-from .cover import (
-    DiscClass,
-    TangencyNumber,
-    build_cover_potential,
-    cover_connected,
-    cover_spec_from_dict,
-    maslov_positive,
-    monotonicity_check,
-    riemann_hurwitz_lift,
-    tangency_number,
-)
-from .critical import MAX_ITER, TOL, SolverOptions, critical_points, critical_values
+from . import __version__, cover, critical, lattice, mutation, periods
 from .errors import ExprSyntaxError, LGForgeError, ReferenceFormatError
-from .lattice import CharacterAction, invariant_sublattice, rewrite_in_sublattice
-from .mutation import apply_substitution, check_period_invariance, substitution_from_dict
 from .parsing import (parse_poly, spec_bool, spec_field, spec_fraction, spec_int, spec_list,
                       spec_object, spec_str)
-from .periods import DescendantConstant, ingest_reference, is_weak_lg, period_sequence
 
 _USAGE_ERRORS = (ExprSyntaxError, ReferenceFormatError, OSError, ValueError)
 
@@ -113,6 +109,8 @@ def _json_object(path: str) -> dict:
             data = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
     return data
@@ -179,7 +177,7 @@ def _cmd_period(args):
     # are the same as those of releases that had a --strategy flag.
     raw.update({"K": up_to, "strategy": "incremental"})
     f = parse_poly(expr, varnames)
-    seq = period_sequence(f, up_to)
+    seq = periods.period_sequence(f, up_to)
     result = {"coeffs": [_frac_json(c) for c in seq.coeffs], "max_power": seq.max_power}
     lines = ["k    c_k", "-" * 24]
     lines += [f"{k:<4d} {c}" for k, c in enumerate(seq.coeffs)]
@@ -188,8 +186,8 @@ def _cmd_period(args):
 
 def _cmd_cover(args):
     data = _spec(args, spec_only=True)
-    spec, basis, qvars = cover_spec_from_dict(data)
-    res = build_cover_potential(spec, basis=basis, quotient_varnames=qvars)
+    spec, basis, qvars = cover.cover_spec_from_dict(data)
+    res = cover.build_cover_potential(spec, basis=basis, quotient_varnames=qvars)
     result = {
         "action": {"modulus": res.action.modulus, "weights": list(res.action.weights)},
         "basis_columns": [list(c) for c in res.basis.columns],
@@ -210,28 +208,30 @@ def _cmd_cover(args):
 def _cmd_quotient(args):
     expr, varnames, raw = _expr_inputs(args)
     weights = _csv_flag(args.weights, "--weights", length=len(varnames))
+    if args.modulus < 1:
+        raise ValueError(f"-r must be at least 1, got {args.modulus}")
     raw.update({"weights": weights, "r": args.modulus})
     f = parse_poly(expr, varnames)
-    action = CharacterAction(tuple(weights), args.modulus)
-    lattice = invariant_sublattice(action)
+    action = lattice.CharacterAction(tuple(weights), args.modulus)
+    sublattice = lattice.invariant_sublattice(action)
     if args.basis:
         columns = [_csv_flag(row, "--basis") for row in args.basis.split(";")]
         try:  # a ragged, dependent or wrong basis
-            lattice = lattice.rebased(columns)
+            sublattice = sublattice.rebased(columns)
         except ValueError as exc:
             raise ValueError(f"bad value for --basis: {exc}") from None
         raw["basis"] = args.basis
     new_vars = (_csv_flag(args.new_vars, "--new-vars", str, length=len(varnames))
                 if args.new_vars else None)
-    g = rewrite_in_sublattice(f, lattice, varnames=new_vars)
+    g = lattice.rewrite_in_sublattice(f, sublattice, varnames=new_vars)
     result = {
-        "basis_columns": [list(c) for c in lattice.columns],
-        "index": lattice.index,
+        "basis_columns": [list(c) for c in sublattice.columns],
+        "index": sublattice.index,
         "quotient": g.render(),
         "quotient_vars": list(g.varnames),
     }
     lines = [
-        f"basis    : columns {[tuple(c) for c in lattice.columns]} (index {lattice.index})",
+        f"basis    : columns {[tuple(c) for c in sublattice.columns]} (index {sublattice.index})",
         f"quotient : {result['quotient']}   in vars {', '.join(g.varnames)}",
     ]
     return result, lines, raw
@@ -243,10 +243,10 @@ def _cmd_crit(args):
         raise ValueError("--starts must be at least 1")
     if args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-    opts = SolverOptions(starts=args.starts, seed=args.seed)
+    opts = critical.SolverOptions(starts=args.starts, seed=args.seed)
     # "tol" and "max_iter" stay in the hashed inputs so that crit provenance
     # hashes are the same as those of releases that had --tol and --max-iter.
-    raw.update({"starts": opts.starts, "tol": TOL, "max_iter": MAX_ITER})
+    raw.update({"starts": opts.starts, "tol": critical.TOL, "max_iter": critical.MAX_ITER})
     f = parse_poly(expr, varnames)
     if "numpy" not in sys.modules:
         # crit's Newton systems are n x n with n the number of variables, so
@@ -263,11 +263,11 @@ def _cmd_crit(args):
         finally:
             if unset:
                 del os.environ["OMP_NUM_THREADS"]
-    search = critical_points(f, opts)
+    search = critical.critical_points(f, opts)
     if not search.points and not search.degenerate_input:
         print(f"warning: crit found no critical point from {opts.starts} starts",
               file=sys.stderr)
-    values = critical_values(f, opts, search=search)
+    values = critical.critical_values(f, opts, search=search)
     result = {
         "degenerate_input": search.degenerate_input,
         "points": [
@@ -300,11 +300,11 @@ def _cmd_mutate(args):
     sub_data = _json_object(args.sub)
     raw["substitution"] = sub_data
     f = parse_poly(expr, varnames)
-    sub = substitution_from_dict(sub_data)
+    sub = mutation.substitution_from_dict(sub_data)
     if len(sub.images) != f.rank:
         raise ValueError(f"{args.sub}: bad value for 'vars': expected {f.rank} values "
                          f"(one per --vars name), got {len(sub.images)}")
-    image = apply_substitution(f, sub)
+    image = mutation.apply_substitution(f, sub)
     result = {"image": image.render(), "vars": list(image.varnames)}
     lines = [f"image: {result['image']}"]
     return result, lines, raw
@@ -318,6 +318,8 @@ def _cmd_tangency(args):
         _, _, data = _expr_inputs(args)
         if args.degree is None:
             raise ValueError("the cover degree -r is required")
+        if args.degree < 0:
+            raise ValueError(f"-r must be nonnegative, got {args.degree}")
         data.update(r=args.degree,
                     boundary=_csv_flag(args.boundary, "--boundary", length=len(data["vars"])),
                     multiplicities=(_csv_flag(args.multiplicities, "--multiplicities")
@@ -327,13 +329,15 @@ def _cmd_tangency(args):
     expr = spec_field(data, "potential" if args.spec else "expr", spec_str, where)
     varnames = spec_field(data, "vars", spec_list(spec_str), where)
     r = spec_field(data, "r", spec_int, where)
+    if r < 0:  # only a spec file gets here with a negative r
+        raise ValueError(f"{where}: bad value for 'r': expected a nonnegative integer, got {r}")
     boundary = spec_field(data, "boundary", spec_list(spec_int, len(varnames)), where)
     mults = spec_field(data, "multiplicities", spec_list(spec_int), where, None)
     desc = spec_field(data, "descendant", spec_fraction, where, None)
     smooth = spec_field(data, "smooth", spec_bool, where, False)
     potential = parse_poly(expr, varnames)
-    descendant = None if desc is None else DescendantConstant(r, desc)
-    tau: TangencyNumber = tangency_number(
+    descendant = None if desc is None else periods.DescendantConstant(r, desc)
+    tau = cover.tangency_number(
         potential, r, boundary, multiplicities=mults, descendant=descendant, smooth=smooth)
     result = {"integral": tau.integral, "tau": _frac_json(tau.value)}
     lines = [f"tau = {tau.value}"
@@ -348,7 +352,7 @@ def _cmd_compare(args):
     raw.update({"expr2": expr2, "K": up_to})
     f = parse_poly(expr, varnames)
     g = parse_poly(expr2, varnames)
-    report = check_period_invariance(f, g, up_to)
+    report = mutation.check_period_invariance(f, g, up_to)
     result = {
         "passed": report.passed,
         "rows": [
@@ -369,11 +373,11 @@ def _cmd_check_weak_lg(args):
     up_to = _max_power(args)
     if not 0 <= args.k_min <= up_to:  # an empty range would pass with nothing compared
         raise ValueError(f"--k-min must lie in 0..{up_to} (the -K bound), got {args.k_min}")
-    reference = ingest_reference(args.reference)
+    reference = periods.ingest_reference(args.reference)
     raw.update({"reference": [_frac_json(c) for c in reference.coeffs],
                 "K": up_to, "k_min": args.k_min})
     f = parse_poly(expr, varnames)
-    report = is_weak_lg(f, reference, up_to, k_min=args.k_min)
+    report = periods.is_weak_lg(f, reference, up_to, k_min=args.k_min)
     result = {
         "k_min": args.k_min,
         "passed": report.passed,
@@ -423,7 +427,7 @@ def _cmd_ledger(args):
     classes = []
     for i, c in enumerate(spec_field(data, "classes", spec_list(spec_object), where, [])):
         at = f"{where}: classes[{i}]"
-        classes.append(DiscClass(
+        classes.append(cover.DiscClass(
             half_maslov=spec_field(c, "half_maslov", spec_int, at),
             divisor_hits=spec_field(c, "divisor_hits", spec_list(spec_int), at, ()),
             boundary=spec_field(c, "boundary", spec_list(spec_int), at, ()),
@@ -436,7 +440,7 @@ def _cmd_ledger(args):
     if "maslov_positive" in checks:
         hits_index = spec_field(checks["maslov_positive"], "hits_index", spec_list(spec_int),
                                 f"{at}.maslov_positive", None)
-        report = maslov_positive(classes, hits_index)
+        report = cover.maslov_positive(classes, hits_index)
         result["maslov_positive"] = {
             "passed": report.passed,
             "rows": [{"half_maslov": row.disc.half_maslov, "ok": row.ok,
@@ -447,7 +451,7 @@ def _cmd_ledger(args):
             lines.append(f"  mu/2 = {row.disc.half_maslov}, needs >= {row.required}: "
                          f"{'ok' if row.ok else 'VIOLATED'}")
     if "monotonicity" in checks:
-        lam = monotonicity_check(classes)
+        lam = cover.monotonicity_check(classes)
         result["monotonicity"] = {"lambda": _frac_json(lam) if lam is not None else None,
                                   "monotone": lam is not None}
         if lam is not None:
@@ -461,7 +465,7 @@ def _cmd_ledger(args):
                                 None)
         rows = []
         for disc in classes:
-            lift = riemann_hurwitz_lift(disc.half_maslov, disc.hits(hits_index), r)
+            lift = cover.riemann_hurwitz_lift(disc.half_maslov, disc.hits(hits_index), r)
             rows.append({"half_maslov_up": _frac_json(lift.value), "liftable": lift.liftable})
             lines.append(f"riemann-hurwitz r={r}: mu/2 = {disc.half_maslov}, "
                          f"hits = {disc.hits(hits_index)} -> {lift.value}"
@@ -469,8 +473,8 @@ def _cmd_ledger(args):
         result["riemann_hurwitz"] = {"r": r, "rows": rows}
     if "connected" in checks:
         opts, at = checks["connected"], f"{at}.connected"
-        flag = cover_connected(spec_field(opts, "d_values", spec_list(spec_int), at),
-                               spec_field(opts, "r", spec_int, at))
+        flag = cover.cover_connected(spec_field(opts, "d_values", spec_list(spec_int), at),
+                                     spec_field(opts, "r", spec_int, at))
         result["connected"] = flag
         lines.append(f"pre-image connected: {'yes' if flag else 'no'}")
     return result, lines, data

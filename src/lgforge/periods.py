@@ -264,6 +264,8 @@ def ingest_reference(path: str | Path) -> PeriodSequence:
         data = json.loads(text)
     except RecursionError:
         raise ReferenceFormatError(f"{path}: JSON nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ReferenceFormatError(f"{path}: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
         raise ReferenceFormatError("JSON reference must be an object with a 'coeffs' list")
     pairs = []

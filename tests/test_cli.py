@@ -356,6 +356,131 @@ def test_crit_keeps_a_blas_thread_count_the_user_set():
     assert seen["threads"] == int(bare.stdout)
 
 
+# Collects in `ran` the name of every lgforge module whose body runs.  The
+# audit hook sees each module body, also one that importlib.util.LazyLoader
+# runs on first use, which -X importtime does not list.
+RAN_HOOK = """
+import json, sys
+from pathlib import Path
+
+ran = set()
+
+def hook(event, args):
+    if event == "exec" and getattr(args[0], "co_name", None) == "<module>":
+        path = Path(args[0].co_filename)
+        if path.parent.name == "lgforge":
+            ran.add(path.stem)
+
+sys.addaudithook(hook)
+"""
+
+# Runs, in a fresh interpreter, every golden-manifest command of one
+# subcommand (argv[1]) through lgforge.cli.main and prints the exit codes and
+# the lgforge modules whose body ran.
+LAYER_PROBE = RAN_HOOK + """
+import contextlib, io
+from lgforge.cli import main
+
+manifest = json.loads(Path("cases/golden_manifest.json").read_text())
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(e["argv"]) for e in manifest if e["argv"][0] == sys.argv[1]]
+print(json.dumps({"codes": codes, "ran": sorted(ran)}))
+"""
+
+# What every command runs, then the layers each subcommand adds.
+EAGER_MODULES = {"__init__", "cli", "errors", "parsing", "laurent", "_record"}
+COMMAND_LAYERS = {
+    "eval": set(),
+    "period": {"periods"},
+    "check-weak-lg": {"periods"},
+    "crit": {"critical"},
+    "quotient": {"lattice"},
+    "mutate": {"mutation", "periods"},
+    "compare": {"mutation", "periods"},
+    "cover": {"cover", "lattice", "periods"},
+    "tangency": {"cover", "lattice", "periods"},
+    "ledger": {"cover", "lattice", "periods"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_LAYERS))
+def test_each_command_runs_only_its_layers(command):
+    assert set(COMMAND_LAYERS) == {e["argv"][0] for e in MANIFEST}
+    proc = run_child(["-c", LAYER_PROBE, command], child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    seen = json.loads(proc.stdout)
+    assert seen["codes"] and set(seen["codes"]) == {0}
+    assert set(seen["ran"]) == EAGER_MODULES | COMMAND_LAYERS[command]
+
+
+# The names lgforge exports, by the layer that defines them.
+API = {
+    "cover": "CoverResult CoverSpec DiscClass DivisorFunctional MaslovReport RHLift "
+             "TangencyNumber build_cover_potential cover_connected cover_spec_from_dict "
+             "derive_action maslov_positive monotonicity_check riemann_hurwitz_lift "
+             "split_potential tangency_number",
+    "critical": "CriticalPoint CriticalSearch CriticalValueSet SolverOptions critical_points "
+                "critical_values log_gradient",
+    "errors": "CharacterSolveError DiscLedgerError EmptyPolynomialError ExprSyntaxError "
+              "FloatRangeError InvalidFunctionalError InvarianceError LGForgeError "
+              "MultiplicityError NotInSublatticeError NotLaurentError RankMismatchError "
+              "ReferenceFormatError SequenceRangeError UnknownVariableError "
+              "ZeroCoordinateError ZeroDenominatorError",
+    "lattice": "CharacterAction SNFDecomposition Sublattice hermite_column_basis "
+               "invariant_sublattice rewrite_in_sublattice smith_normal_form solve_character",
+    "laurent": "Exponent LaurentPoly RationalExpr divide_exact laurent_normalize",
+    "mutation": "PeriodCompareReport Substitution apply_substitution check_period_invariance "
+                "identity_substitution substitution_from_dict",
+    "parsing": "parse parse_poly",
+    "periods": "DescendantConstant PeriodSequence WeakLGReport descendant_constant "
+               "ingest_reference is_weak_lg period_sequence power_coefficient",
+}
+
+# Runs in a fresh interpreter with the API table as argv[1]: which lgforge
+# module bodies `import lgforge` runs, which of the benchmark tracer's layers
+# are missing from sys.modules after `import lgforge.cli`, the names
+# `from lgforge import *` binds, those not bound to their layer's object,
+# dir(lgforge), a call through lgforge.potentials, and the error for an
+# unknown name.
+API_PROBE = RAN_HOOK + """
+import lgforge
+package_ran = sorted(ran)
+import lgforge.cli
+sys.path.insert(0, "perfbench")
+from tracer import LAYERS
+unloaded = [name for name in LAYERS if f"lgforge.{name}" not in sys.modules]
+star = {}
+exec("from lgforge import *", star)
+del star["__builtins__"]
+wrong = [name for layer, names in json.loads(sys.argv[1]).items() for name in names.split()
+         if star.get(name) is not getattr(getattr(lgforge, layer), name)]
+try:
+    lgforge.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"package_ran": package_ran, "unloaded": unloaded, "star": sorted(star),
+                  "wrong": wrong, "dir": dir(lgforge),
+                  "potential": lgforge.potentials.projective_space(2).render(),
+                  "unknown": unknown}))
+"""
+
+
+def test_package_api_and_the_tracer_layers():
+    proc = run_child(["-c", API_PROBE, json.dumps(API)], child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    seen = json.loads(proc.stdout)
+    names = sorted(name for names in API.values() for name in names.split())
+    assert len(names) == 69
+    assert seen["package_ran"] == ["__init__"]
+    assert seen["unloaded"] == []
+    assert seen["star"] == names
+    assert seen["wrong"] == []
+    assert set(names) <= set(seen["dir"])
+    assert seen["potential"] == "z1 + z2 + z1^-1*z2^-1"
+    assert seen["unknown"] == "module 'lgforge' has no attribute 'no_such_name'"
+
+
 @pytest.fixture(scope="module")
 def crit_child_imports() -> set[str]:
     """Every module a `crit` child imports: -X importtime lists them on stderr."""

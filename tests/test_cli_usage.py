@@ -116,6 +116,19 @@ MALFORMED = [
      2, ["{tmp}/input6.json", "nested too deeply"]),
     ("reference-nested-deeply", ["check-weak-lg", *EXPR, "-K", "2", "--reference", NESTED],
      2, ["{tmp}/input8.json", "nested too deeply"]),
+    ("spec-json-malformed", ["tangency", "--spec", FileText("{")],
+     2, ["{tmp}/input2.json", "line 1 column 2"]),
+    ("sub-json-malformed", ["mutate", *EXPR, "--sub", FileText('{"vars": ["x"],}')],
+     2, ["{tmp}/input6.json", "line 1 column 16"]),
+    ("reference-json-malformed", ["check-weak-lg", *EXPR, "-K", "2", "--reference",
+                                  FileText('{"coeffs": [[0, "1"]')],
+     2, ["{tmp}/input8.json", "line 1 column 21"]),
+    ("quotient-r-zero", ["quotient", *EXPR2, "--weights", "1,1", "-r", "0"],
+     2, ["-r must be at least 1, got 0"]),
+    ("tangency-r-negative", ["tangency", *EXPR, "-r", "-1", "--boundary", "0", "--smooth"],
+     2, ["-r must be nonnegative, got -1"]),
+    ("tangency-spec-r-negative", ["tangency", "--spec", dict(TANGENCY, r=-1)],
+     2, ["{tmp}/input2.json", "'r'", "got -1"]),
     ("expr-nested-deeply", ["period", "--expr", "(" * 3000 + "x" + ")" * 3000, "--vars", "x",
                             "-K", "2"], 2, ["expression nested too deeply"]),
     ("quotient-weights", ["quotient", *EXPR2, "--weights", "1,a", "-r", "2"],
