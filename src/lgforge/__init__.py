@@ -10,16 +10,13 @@ and the other layer names return the layer as a module that is registered in
 ``sys.modules`` at once but runs its body only on its first attribute access
 (``importlib.util.LazyLoader``); ``import lgforge.<layer>`` still loads it
 eagerly.  Each name in ``__all__`` resolves through its layer on first access
-and is then cached here.  So ``import lgforge`` compiles no layer, and a
-command compiles only the layers it runs.
+and is then cached here.  So ``import lgforge`` compiles no layer;
+``lgforge.cli`` lists the layers each command loads.
 """
 
 import sys
 
 __version__ = "0.1.0"
-
-_LAYERS = frozenset({"cover", "critical", "errors", "lattice", "laurent", "mutation", "parsing",
-                     "periods", "potentials"})
 
 _EXPORTS = {
     "cover": ("CoverResult", "CoverSpec", "DiscClass", "DivisorFunctional", "MaslovReport",
@@ -45,6 +42,7 @@ _EXPORTS = {
     "periods": ("DescendantConstant", "PeriodSequence", "WeakLGReport", "descendant_constant",
                 "ingest_reference", "is_weak_lg", "period_sequence", "power_coefficient"),
 }
+_LAYERS = frozenset(_EXPORTS) | {"potentials"}
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_LAYER_OF)

@@ -17,15 +17,16 @@ on int/str conversion, so exact results of any size print; ``main`` is the
 same without those two process settings.
 
 Every command needs ``errors`` and ``parsing`` (and through it ``laurent``
-and ``_record``), so those load with this module.  The other layers come as
-lazy modules from the package (``lgforge.__getattr__``) and are called as
-``periods.period_sequence(...)`` and so on, so each runs its body on the
-first call into it: ``eval`` runs no further layer, ``period`` and
-``check-weak-lg`` run ``periods``, ``crit`` runs ``critical``, ``quotient``
-runs ``lattice``, ``mutate`` and ``compare`` run ``mutation`` and
-``periods``, and ``cover``, ``tangency`` and ``ledger`` run ``cover``,
-``lattice`` and ``periods``.  A ``from .<layer> import name`` here would
-load its layer with this module.
+and ``_record``), and most need ``periods``, so those load with this module.
+So does the small ``mutation`` layer (about 1 ms to compile): a program that
+imports this module and then times calls into ``lgforge.mutation`` does not
+time its first load.  ``cover``, ``critical`` and ``lattice`` come as lazy
+modules from the package (``lgforge.__getattr__``) and are called as
+``cover.tangency_number(...)`` and so on, so each runs its body on the first
+call into it: ``crit`` runs ``critical``, ``quotient`` runs ``lattice``,
+``cover``, ``tangency`` and ``ledger`` run ``cover`` and ``lattice``, and
+the other commands run none of the three.  A ``from .<layer> import name``
+here loads its layer with this module.
 """
 
 from __future__ import annotations
@@ -51,10 +52,12 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from . import __version__, cover, critical, lattice, mutation, periods
+from . import __version__, cover, critical, lattice
 from .errors import ExprSyntaxError, LGForgeError, ReferenceFormatError
+from .mutation import apply_substitution, check_period_invariance, substitution_from_dict
 from .parsing import (parse_poly, spec_bool, spec_field, spec_fraction, spec_int, spec_list,
                       spec_object, spec_str)
+from .periods import DescendantConstant, ingest_reference, is_weak_lg, period_sequence
 
 _USAGE_ERRORS = (ExprSyntaxError, ReferenceFormatError, OSError, ValueError)
 
@@ -177,7 +180,7 @@ def _cmd_period(args):
     # are the same as those of releases that had a --strategy flag.
     raw.update({"K": up_to, "strategy": "incremental"})
     f = parse_poly(expr, varnames)
-    seq = periods.period_sequence(f, up_to)
+    seq = period_sequence(f, up_to)
     result = {"coeffs": [_frac_json(c) for c in seq.coeffs], "max_power": seq.max_power}
     lines = ["k    c_k", "-" * 24]
     lines += [f"{k:<4d} {c}" for k, c in enumerate(seq.coeffs)]
@@ -300,11 +303,11 @@ def _cmd_mutate(args):
     sub_data = _json_object(args.sub)
     raw["substitution"] = sub_data
     f = parse_poly(expr, varnames)
-    sub = mutation.substitution_from_dict(sub_data)
+    sub = substitution_from_dict(sub_data)
     if len(sub.images) != f.rank:
         raise ValueError(f"{args.sub}: bad value for 'vars': expected {f.rank} values "
                          f"(one per --vars name), got {len(sub.images)}")
-    image = mutation.apply_substitution(f, sub)
+    image = apply_substitution(f, sub)
     result = {"image": image.render(), "vars": list(image.varnames)}
     lines = [f"image: {result['image']}"]
     return result, lines, raw
@@ -318,8 +321,6 @@ def _cmd_tangency(args):
         _, _, data = _expr_inputs(args)
         if args.degree is None:
             raise ValueError("the cover degree -r is required")
-        if args.degree < 0:
-            raise ValueError(f"-r must be nonnegative, got {args.degree}")
         data.update(r=args.degree,
                     boundary=_csv_flag(args.boundary, "--boundary", length=len(data["vars"])),
                     multiplicities=(_csv_flag(args.multiplicities, "--multiplicities")
@@ -329,14 +330,15 @@ def _cmd_tangency(args):
     expr = spec_field(data, "potential" if args.spec else "expr", spec_str, where)
     varnames = spec_field(data, "vars", spec_list(spec_str), where)
     r = spec_field(data, "r", spec_int, where)
-    if r < 0:  # only a spec file gets here with a negative r
-        raise ValueError(f"{where}: bad value for 'r': expected a nonnegative integer, got {r}")
+    if r < 0:
+        raise ValueError(f"{where}: bad value for 'r': expected a nonnegative integer, got {r}"
+                         if args.spec else f"-r must be nonnegative, got {r}")
     boundary = spec_field(data, "boundary", spec_list(spec_int, len(varnames)), where)
     mults = spec_field(data, "multiplicities", spec_list(spec_int), where, None)
     desc = spec_field(data, "descendant", spec_fraction, where, None)
     smooth = spec_field(data, "smooth", spec_bool, where, False)
     potential = parse_poly(expr, varnames)
-    descendant = None if desc is None else periods.DescendantConstant(r, desc)
+    descendant = None if desc is None else DescendantConstant(r, desc)
     tau = cover.tangency_number(
         potential, r, boundary, multiplicities=mults, descendant=descendant, smooth=smooth)
     result = {"integral": tau.integral, "tau": _frac_json(tau.value)}
@@ -352,7 +354,7 @@ def _cmd_compare(args):
     raw.update({"expr2": expr2, "K": up_to})
     f = parse_poly(expr, varnames)
     g = parse_poly(expr2, varnames)
-    report = mutation.check_period_invariance(f, g, up_to)
+    report = check_period_invariance(f, g, up_to)
     result = {
         "passed": report.passed,
         "rows": [
@@ -373,11 +375,11 @@ def _cmd_check_weak_lg(args):
     up_to = _max_power(args)
     if not 0 <= args.k_min <= up_to:  # an empty range would pass with nothing compared
         raise ValueError(f"--k-min must lie in 0..{up_to} (the -K bound), got {args.k_min}")
-    reference = periods.ingest_reference(args.reference)
+    reference = ingest_reference(args.reference)
     raw.update({"reference": [_frac_json(c) for c in reference.coeffs],
                 "K": up_to, "k_min": args.k_min})
     f = parse_poly(expr, varnames)
-    report = periods.is_weak_lg(f, reference, up_to, k_min=args.k_min)
+    report = is_weak_lg(f, reference, up_to, k_min=args.k_min)
     result = {
         "k_min": args.k_min,
         "passed": report.passed,

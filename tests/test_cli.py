@@ -388,18 +388,19 @@ print(json.dumps({"codes": codes, "ran": sorted(ran)}))
 """
 
 # What every command runs, then the layers each subcommand adds.
-EAGER_MODULES = {"__init__", "cli", "errors", "parsing", "laurent", "_record"}
+EAGER_MODULES = {"__init__", "cli", "errors", "parsing", "laurent", "_record", "periods",
+                 "mutation"}
 COMMAND_LAYERS = {
     "eval": set(),
-    "period": {"periods"},
-    "check-weak-lg": {"periods"},
+    "period": set(),
+    "check-weak-lg": set(),
     "crit": {"critical"},
     "quotient": {"lattice"},
-    "mutate": {"mutation", "periods"},
-    "compare": {"mutation", "periods"},
-    "cover": {"cover", "lattice", "periods"},
-    "tangency": {"cover", "lattice", "periods"},
-    "ledger": {"cover", "lattice", "periods"},
+    "mutate": set(),
+    "compare": set(),
+    "cover": {"cover", "lattice"},
+    "tangency": {"cover", "lattice"},
+    "ledger": {"cover", "lattice"},
 }
 
 
