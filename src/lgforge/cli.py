@@ -112,7 +112,7 @@ def _json_object(path: str) -> dict:
             data = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")

@@ -294,6 +294,8 @@ def monotonicity_check(classes: Sequence[DiscClass]) -> Fraction | None:
 
 def cover_connected(divisor_values: Sequence[int], r: int) -> bool:
     """Is the pre-image torus connected? True iff the linking values generate Z_r."""
+    if r < 2:
+        raise ValueError("cover degree must be at least 2")
     g = r
     for value in divisor_values:
         g = gcd(g, value)
@@ -329,6 +331,8 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
         spec_field(fun, "constant", spec_fraction, f"{where}: functional"),
     )
     r = spec_field(data, "r", spec_int, where)
+    if r < 2:  # before DescendantConstant, whose own check does not name 'r'
+        raise ValueError(f"{where}: bad value for 'r': cover degree must be at least 2, got {r}")
     descendant = DescendantConstant(r, spec_field(data, "descendant", spec_fraction, where))
     spec = CoverSpec(potential, functional, r, descendant)
 

@@ -16,16 +16,14 @@ polynomial evaluator, independently of the numpy arithmetic of the Newton
 steps.
 
 Start i takes n log-radii, uniform in [-log START_RADIUS, log START_RADIUS],
-then n phases, uniform in [0, 1) turns, from one stream per search.  The
-stream is PCG64 seeded through SeedSequence, written with Python ints, and
-draws bit for bit what ``numpy.random.default_rng(seed).uniform`` draws, so
-the same seed gives the same points as a numpy generator would while no
-search loads ``numpy.random``.
+then n phases, uniform in [0, 1) turns, from one ``random.Random(seed)`` per
+search.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 from ._record import record
 from .errors import FloatRangeError
@@ -112,67 +110,6 @@ def _evaluate_block(m: np.ndarray, entries) -> np.ndarray:
     return out
 
 
-def _uniform_stream(seed: int):
-    """``numpy.random.default_rng(seed).uniform`` in Python ints and floats.
-
-    The returned ``uniform(lo, hi, size)`` draws the same doubles in the same
-    order as numpy's.  Seeding follows numpy's SeedSequence: the seed's
-    32-bit words are hashed into a pool of four words, from which eight more
-    are drawn to make the 128-bit state and increment of PCG64 (O'Neill
-    2014).  Each draw steps the LCG and applies the XSL-RR output; a double
-    keeps its top 53 bits.
-    """
-    if seed < 0:
-        raise ValueError(f"expected a non-negative seed, got {seed}")
-    mask = 0xFFFFFFFF
-
-    def hasher(const: int, mult: int):
-        def hash32(value: int) -> int:
-            nonlocal const
-            value ^= const
-            const = const * mult & mask
-            value = value * const & mask
-            return value ^ value >> 16
-        return hash32
-
-    def mix(x: int, y: int) -> int:
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & mask
-        return value ^ value >> 16
-
-    words = [seed & mask]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & mask)
-    hashmix = hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # SeedSequence.generate_state(4, uint64): eight words, low word first
-    draw = hasher(0x8B51F9DD, 0x58F38DED)
-    out = [draw(pool[i % 4]) for i in range(8)]
-    s0, s1, s2, s3 = (out[i] | out[i + 1] << 32 for i in range(0, 8, 2))
-    init, inc = s0 << 64 | s1, (s2 << 64 | s3) << 1 | 1  # PCG64's seed and stream
-    mult, mask128, mask64 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1, (1 << 64) - 1
-    state = ((inc + init) * mult + inc) & mask128  # two LCG steps from 0, adding init between
-
-    def uniform(lo: float, hi: float, size: int) -> list[float]:
-        nonlocal state
-        draws = []
-        for _ in range(size):
-            state = (state * mult + inc) & mask128
-            word, rot = (state >> 64 ^ state) & mask64, state >> 122
-            word = (word >> rot | word << (64 - rot)) & mask64
-            draws.append(lo + (hi - lo) * ((word >> 11) * 2.0 ** -53))
-        return draws
-
-    return uniform
-
-
 def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> CriticalSearch:
     """Newton search for critical points from seeded random starts.
 
@@ -185,6 +122,8 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
     grow with ``opts.starts``; only the converged points are kept until the
     re-check.
     """
+    if opts.seed < 0:  # random.Random(-s) would draw seed s's starts
+        raise ValueError(f"expected a non-negative seed, got {opts.seed}")
     import numpy as np  # here, not at module level: no other command pays its import
 
     n = f.rank
@@ -208,7 +147,7 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
         h[:, rows, cols] = h[:, cols, rows] = _evaluate_block(m, hess)
         return h
 
-    uniform = _uniform_stream(opts.seed)
+    rng = random.Random(opts.seed)
     log_r = math.log(START_RADIUS)
     converged: list[tuple[int, np.ndarray]] = []  # (start index, point)
     # starts that overflow or go NaN are dropped below as non-finite rows,
@@ -217,8 +156,8 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
         for first in range(0, opts.starts, BLOCK):
             block = []
             for _ in range(min(BLOCK, opts.starts - first)):
-                radii = np.exp(np.array(uniform(-log_r, log_r, n)))
-                phases = np.exp(2j * np.pi * np.array(uniform(0.0, 1.0, n)))
+                radii = np.exp(np.array([rng.uniform(-log_r, log_r) for _ in range(n)]))
+                phases = np.exp(2j * np.pi * np.array([rng.uniform(0.0, 1.0) for _ in range(n)]))
                 block.append(radii * phases)
             z = np.array(block)
             index = np.arange(first, first + len(block))
@@ -260,7 +199,11 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
         residual = max(abs(g.evaluate(pt)) for g in grads)
         if residual < TOL:
             checked.append((pt, residual))
-    checked.sort(key=lambda item: tuple((v.real, v.imag) for v in item[0]))
+    # on the DEDUPE_RADIUS grid, so that points equal up to rounding noise,
+    # such as the conjugate pair of x + y + 1/(x*y) sharing Re z_1, sort by
+    # their other coordinates rather than by their last bits
+    checked.sort(key=lambda item: tuple(
+        (round(v.real / DEDUPE_RADIUS), round(v.imag / DEDUPE_RADIUS)) for v in item[0]))
     points: list[CriticalPoint] = []
     # kept points by floor(Re z_1 / DEDUPE_RADIUS): two points closer than the
     # radius in the max-norm sit at most one bucket apart, so each point is
@@ -294,7 +237,10 @@ def critical_values(f: LaurentPoly, opts: SolverOptions = SolverOptions(),
     if search is None:
         search = critical_points(f, opts)
     clusters: list[tuple[complex, int]] = []
-    for p in sorted(search.points, key=lambda p: (p.value.real, p.value.imag)):
+    # on the VALUE_TOL grid, as the points are on theirs: conjugate values
+    # share a real part only up to rounding noise
+    for p in sorted(search.points, key=lambda p: (round(p.value.real / VALUE_TOL),
+                                                  round(p.value.imag / VALUE_TOL))):
         for i, (rep, count) in enumerate(clusters):
             if abs(p.value - rep) <= VALUE_TOL:
                 clusters[i] = (rep, count + 1)

@@ -233,15 +233,27 @@ def ingest_reference(path: str | Path) -> PeriodSequence:
 
     CSV: header ``k,coeff`` then one row per nonzero coefficient.  JSON: an
     object with ``name`` and ``coeffs``, the latter a list of [k, "coeff"]
-    pairs.  Missing indices are zero-filled; c_0 defaults to 1.
+    pairs.  Missing indices are zero-filled; c_0 defaults to 1.  A malformed
+    file raises ReferenceFormatError naming its path.
     """
     path = Path(path)
+    try:
+        return _read_reference(path)
+    except ReferenceFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _read_reference(path: Path) -> PeriodSequence:
     fmt = path.suffix.lstrip(".").lower()
     if fmt not in ("csv", "json"):
         raise ReferenceFormatError(f"unsupported format {fmt!r}")
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ReferenceFormatError(str(exc)) from None
     if not text.strip():
-        raise ReferenceFormatError(f"{path} is empty")
+        raise ReferenceFormatError("file is empty")
     if fmt == "csv":
         lines = text.splitlines()
         header = lines[0].strip().replace(" ", "")
@@ -263,9 +275,9 @@ def ingest_reference(path: str | Path) -> PeriodSequence:
     try:
         data = json.loads(text)
     except RecursionError:
-        raise ReferenceFormatError(f"{path}: JSON nested too deeply") from None
+        raise ReferenceFormatError("JSON nested too deeply") from None
     except json.JSONDecodeError as exc:
-        raise ReferenceFormatError(f"{path}: {exc}") from None
+        raise ReferenceFormatError(str(exc)) from None
     if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
         raise ReferenceFormatError("JSON reference must be an object with a 'coeffs' list")
     pairs = []
@@ -279,7 +291,7 @@ def ingest_reference(path: str | Path) -> PeriodSequence:
             raise ReferenceFormatError(f"bad index {k!r}") from None
         pairs.append((k, _parse_coeff(str(raw), None)))
     try:
-        name = spec_field(data, "name", spec_str, str(path), path.stem)
+        name = spec_field(data, "name", spec_str, "JSON reference", path.stem)
     except ValueError as exc:
         raise ReferenceFormatError(str(exc)) from None
     return _assemble(pairs, name)

@@ -207,12 +207,12 @@ def per_start_critical_points(f, opts):
     hess = [_entry(items, lambda e, i=i, j=j: e[i] * e[j])
             for i in range(n) for j in range(n)]  # row-major: theta_j theta_i f
 
-    rng = np.random.default_rng(opts.seed)
+    rng = random.Random(opts.seed)
     log_r = math.log(START_RADIUS)
     converged: list[np.ndarray] = []
     for _ in range(opts.starts):
-        radii = np.exp(rng.uniform(-log_r, log_r, n))
-        phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+        radii = np.exp(np.array([rng.uniform(-log_r, log_r) for _ in range(n)]))
+        phases = np.exp(2j * np.pi * np.array([rng.uniform(0.0, 1.0) for _ in range(n)]))
         z = radii * phases
         for _ in range(MAX_ITER):
             m = np.prod(z[None, :] ** exps, axis=1)
@@ -243,7 +243,8 @@ def per_start_critical_points(f, opts):
         residual = max(abs(g.evaluate(pt)) for g in grads)
         if residual < TOL:
             checked.append((pt, residual))
-    checked.sort(key=lambda item: tuple((v.real, v.imag) for v in item[0]))
+    checked.sort(key=lambda item: tuple(
+        (round(v.real / DEDUPE_RADIUS), round(v.imag / DEDUPE_RADIUS)) for v in item[0]))
     points: list[CriticalPoint] = []
     kept: list[list[complex]] = []
     for pt, residual in checked:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from lgforge.cli import build_parser, main, run
+from lgforge.critical import TOL
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = json.loads((ROOT / "cases" / "golden_manifest.json").read_text())
@@ -286,12 +287,15 @@ def test_crit_golden_in_a_fresh_process(entry):
     ("x^300*y^-300+y^200+1/x", "x,y", 40),
 ])
 def test_crit_stderr_has_no_numpy_warnings(expr, vars_, starts):
-    # every start overflows; numpy's RuntimeWarnings about the dropped rows
-    # must not reach the user, only crit's own warning
+    # starts overflow; numpy's RuntimeWarnings about the dropped rows must not
+    # reach the user, only crit's own warning when no start found a point
     proc = run_child(["-m", "lgforge", "crit", "--expr", expr, "--vars", vars_,
-                      "--starts", str(starts)], child_env())
+                      "--starts", str(starts), "--format", "json"], child_env())
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stderr == f"warning: crit found no critical point from {starts} starts\n".encode()
+    points = json.loads(proc.stdout)["result"]["points"]
+    assert all(p["residual"] < TOL for p in points)
+    warning = f"warning: crit found no critical point from {starts} starts\n".encode()
+    assert proc.stderr == (b"" if points else warning)
 
 
 # Runs in a fresh interpreter: every non-crit golden command, then one small

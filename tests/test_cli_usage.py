@@ -67,12 +67,28 @@ class FileText(str):
     """File contents given as text, for JSON that json.dumps cannot write
     because it nests too deeply."""
 
+    suffix = ".json"
+
+
+class CsvText(FileText):
+    """File contents given as text, written to a ``.csv`` file."""
+
+    suffix = ".csv"
+
+
+class FileBytes(bytes):
+    """File contents given as raw bytes, written to a ``.json`` file."""
+
+    suffix = ".json"
+
 
 NESTED = FileText("[" * 100_000 + "]" * 100_000)
+NOT_UTF8 = FileBytes(b"\xff\xfe")  # a UTF-16 byte-order mark
 
-# (id, argv, exit code, strings the message must contain).  A dict, list or
-# FileText in argv is written to a JSON file whose path takes its place;
-# "{tmp}" is the test's temporary directory.
+# (id, argv, exit code, strings the message must contain).  A dict, list,
+# FileText or FileBytes in argv is written to a file named input<i> plus its
+# suffix (.json for a dict or list), whose path takes its place; "{tmp}" is
+# the test's temporary directory.
 MALFORMED = [
     ("period-vars-not-list", ["period", "--spec", {"expr": "x + 1/x", "vars": 5}, "-K", "3"],
      2, ["'vars'", "expected a list"]),
@@ -216,6 +232,18 @@ MALFORMED = [
      2, ["'vars'", "expected a string, got 0"]),
     ("sub-images-number", ["mutate", *EXPR, "--sub", {"vars": ["x"], "images": [2]}],
      2, ["'images'", "expected a string, got 2"]),
+    ("spec-not-utf8", ["period", "--spec", NOT_UTF8, "-K", "3"],
+     2, ["{tmp}/input2.json", "can't decode byte 0xff"]),
+    ("reference-not-utf8", ["check-weak-lg", *EXPR, "-K", "2", "--reference", NOT_UTF8],
+     2, ["{tmp}/input8.json", "can't decode byte 0xff"]),
+    ("reference-csv-bad-coefficient", ["check-weak-lg", *EXPR, "-K", "2", "--reference",
+                                       CsvText("k,coeff\n1,x\n")],
+     2, ["{tmp}/input8.csv: bad coefficient 'x' (line 2)"]),
+    ("ledger-connected-r-zero", ["ledger", "--spec", {
+        "classes": [CLASS], "checks": {"connected": {"d_values": [1], "r": 0}}}],
+     2, ["cover degree must be at least 2"]),
+    ("cover-r-negative", ["cover", "--spec", dict(COVER, r=-2)],
+     2, ["cover spec", "'r'", "cover degree must be at least 2, got -2"]),
     ("reference-name-number", ["check-weak-lg", *EXPR, "-K", "2", "--reference",
                                {"name": 7, "coeffs": [[0, "1"], [2, "2"]]}],
      2, ["{tmp}/input8.json", "'name'", "expected a string, got 7"]),
@@ -255,9 +283,12 @@ def test_removed_flag_is_an_argparse_error(argv):
 def test_malformed_input_is_named_without_traceback(tmp_path, argv, code, needles):
     args = []
     for i, arg in enumerate(argv):
-        if isinstance(arg, (dict, list, FileText)):
-            path = tmp_path / f"input{i}.json"
-            path.write_text(arg if isinstance(arg, FileText) else json.dumps(arg))
+        if isinstance(arg, (dict, list, FileText, FileBytes)):
+            path = tmp_path / f"input{i}{getattr(arg, 'suffix', '.json')}"
+            if isinstance(arg, FileBytes):
+                path.write_bytes(arg)
+            else:
+                path.write_text(arg if isinstance(arg, FileText) else json.dumps(arg))
             arg = str(path)
         args.append(arg.replace("{tmp}", str(tmp_path)))
     proc = run_lgforge(*args)

@@ -1,7 +1,11 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -176,14 +180,29 @@ def test_monomial_has_no_critical_points():
     ("x^1000+x^-1000", ["x"], 5),
     ("x^300*y^-300+y^200+1/x", ["x", "y"], 40),
 ])
-def test_starts_that_overflow_are_dropped_without_warnings(expr, vars_, starts):
-    # these starts overflow to inf and NaN; the search drops them as
-    # non-finite rows and must not print numpy RuntimeWarnings about them
+def test_starts_that_overflow_are_dropped_without_warnings(expr, vars_, starts, monkeypatch):
+    # some of these starts overflow to inf and NaN; the search drops them as
+    # non-finite rows and must not print numpy RuntimeWarnings about them.
+    # The second potential also has a point that another start reaches.
+    import numpy as np
+
+    isfinite, seen = np.isfinite, []
+
+    def recording_isfinite(x, *args, **kwargs):
+        out = isfinite(x, *args, **kwargs)
+        seen.append(bool(np.all(out)))
+        return out
+
+    monkeypatch.setattr(np, "isfinite", recording_isfinite)
     f = parse_poly(expr, vars_)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         search = critical_points(f, SolverOptions(starts=starts, seed=0))
-    assert not search.points and not search.degenerate_input
+    assert False in seen, "no start went non-finite"
+    assert not search.degenerate_input
+    grads = log_gradient(f)
+    for p in search.points:
+        assert max(abs(g.evaluate(p.coords)) for g in grads) < critical.TOL
 
 
 def test_same_seed_same_output():
@@ -266,33 +285,55 @@ def test_crit_finds_the_conifold_point_the_periods_predict(f, up_to):
 
 
 # ---------------------------------------------------------------------------
-# start stream: numpy's default_rng(seed).uniform, draw for draw
+# starts: one random.Random(seed) per search
 # ---------------------------------------------------------------------------
 
-# 2^32 - 1 and up take more than one 32-bit word of SeedSequence entropy, and
-# 2^128 + 3 more words than its pool holds; 183037826 is the seed of the
-# benchmark's solver probes
-STREAM_SEEDS = [*range(300), 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 128 + 3, 183037826]
+SAME_SEED_CHILD = """
+from lgforge import SolverOptions, critical_points, parse_poly
+f = parse_poly("x0 + (1+y1+y2)^3/(x0*y1*y2)", ["x0", "y1", "y2"])
+for seed in (0, 183037826, 2 ** 128 + 3):
+    print(repr(critical_points(f, SolverOptions(starts=30, seed=seed))))
+"""
 
 
-def test_start_stream_draws_what_numpy_draws():
-    np = pytest.importorskip("numpy")
-    log_r = math.log(critical.START_RADIUS)
-    for seed in STREAM_SEEDS:
-        ours, theirs = critical._uniform_stream(seed), np.random.default_rng(seed)
-        for n in (1, 2, 3, 4):
-            for lo, hi in ((-log_r, log_r), (0.0, 1.0)):
-                got = [x.hex() for x in ours(lo, hi, n)]
-                want = [x.hex() for x in theirs.uniform(lo, hi, n).tolist()]
-                assert got == want, f"seed {seed}, uniform({lo}, {hi}, {n})"
+def test_one_seed_gives_one_output_across_processes():
+    # two fresh interpreters with different hash seeds; 183037826 is the seed
+    # of the benchmark's solver probes
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", SAME_SEED_CHILD], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("CriticalPoint(") >= 3
 
 
-def test_start_stream_rejects_a_negative_seed():
-    np = pytest.importorskip("numpy")
-    with pytest.raises(ValueError):
-        np.random.default_rng(-1)
+def test_negative_seed_is_rejected():
+    # random.Random(-1) would silently draw seed 1's starts
+    f = parse_poly("x + 1/x", ["x"])
     with pytest.raises(ValueError, match="non-negative"):
-        critical._uniform_stream(-1)
+        critical_points(f, SolverOptions(starts=3, seed=-1))
+
+
+def test_point_and_value_order_does_not_depend_on_the_seed():
+    # the conjugate points of x + y + 1/(x*y) share Re z_1, and their values
+    # share a real part, up to rounding noise, so sorting on raw floats
+    # ordered them by their last bits
+    def rounded(z):
+        return complex(round(z.real, 6), round(z.imag, 6))
+
+    f = parse_poly("x + y + 1/(x*y)", ["x", "y"])
+    orders = set()
+    for seed in range(8):
+        opts = SolverOptions(starts=120, seed=seed)
+        search = critical_points(f, opts)
+        orders.add((tuple(tuple(rounded(z) for z in p.coords) for p in search.points),
+                    tuple(rounded(v) for v, _ in critical_values(f, opts, search).values)))
+    assert len(orders) == 1
 
 
 # ---------------------------------------------------------------------------
