@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Ten alternating benchmark pairs of two checkouts, summarised per metric.
+
+Usage::
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR WORKLOAD FIRST_SEED
+
+Pair i (i = 0..9) runs ``python3 perfbench/run.py --workload WORKLOAD
+--seed FIRST_SEED+i --trace 0`` in both checkouts, the parent first on even
+pairs and the change first on odd ones.  For each end-to-end metric of the
+parent's ``BENCHMARK.json`` it prints the parent's median and quartiles
+[q1, q3], the change's median, the pairs the change won (ties count for
+neither side), and whether the medians differ by more than the parent's
+quartile spread q3 - q1.  Quartiles interpolate linearly between order
+statistics (``statistics.quantiles(..., method="inclusive")``).
+
+Exits 1 as soon as a run fails, reports an incorrect result or a failed
+operation, and 0 otherwise, whatever the numbers say.
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+PAIRS = 10
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> dict:
+    """Medians, the parent's quartiles, the pairs the change won and whether
+    the gap between the medians exceeds the parent's quartile spread.
+
+    ``parent[i]`` and ``change[i]`` are the two runs of pair i; ``better`` is
+    "lower" or "higher".
+    """
+    sign = 1 if better == "higher" else -1
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    parent_median, change_median = statistics.median(parent), statistics.median(change)
+    return {
+        "parent_median": parent_median,
+        "parent_q1": q1,
+        "parent_q3": q3,
+        "change_median": change_median,
+        "won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "pairs": len(parent),
+        "exceeds_spread": abs(change_median - parent_median) > q3 - q1,
+    }
+
+
+def run_side(checkout: Path, workload: str, seed: int) -> dict[str, float]:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    if result is None or not result["correct"] or result["failed"]:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"bench_pairs: {checkout} seed {seed}: "
+                         + ("run failed" if result is None else
+                            f"correct={result['correct']}, failed={result['failed']}"))
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 4:
+        print("usage: bench_pairs.py PARENT_DIR CHANGE_DIR WORKLOAD FIRST_SEED", file=sys.stderr)
+        return 2
+    parent_dir, change_dir, workload = Path(argv[0]), Path(argv[1]), argv[2]
+    first_seed = int(argv[3])
+    metrics = json.loads((parent_dir / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = {"parent": [], "change": []}
+    for i in range(PAIRS):
+        seed = first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_side(parent_dir if side == "parent" else change_dir,
+                                       workload, seed))
+        parent, change = runs["parent"][-1], runs["change"][-1]
+        print(f"pair {i + 1} seed {seed} ({order[0]} first): " + "; ".join(
+            f"{m['name']} {parent[m['name']]:.4g} -> {change[m['name']]:.4g}" for m in metrics),
+            flush=True)
+    print(f"{workload}, seeds {first_seed}-{first_seed + PAIRS - 1}:")
+    for m in metrics:
+        name = m["name"]
+        s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
+                      m["better"])
+        print(f"  {name} ({m['unit']}, {m['better']} is better): parent {s['parent_median']:.4g} "
+              f"[{s['parent_q1']:.4g}, {s['parent_q3']:.4g}], change {s['change_median']:.4g}, "
+              f"won {s['won']}/{s['pairs']}, gap beyond the parent's spread: "
+              f"{'yes' if s['exceeds_spread'] else 'no'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -424,6 +424,14 @@ def _ledger_checks(data: dict, where: str) -> dict[str, dict]:
     return enabled
 
 
+def _cover_degree(value) -> int:
+    """Converter for a ledger check's cover degree r, which must be at least 2."""
+    r = spec_int(value)
+    if r < 2:
+        raise ValueError(f"cover degree must be at least 2, got {r}")
+    return r
+
+
 def _cmd_ledger(args):
     data, where = _spec(args, spec_only=True), args.spec
     classes = []
@@ -462,7 +470,7 @@ def _cmd_ledger(args):
             lines.append("not monotone (no single area/Maslov ratio)")
     if "riemann_hurwitz" in checks:
         opts = checks["riemann_hurwitz"]
-        r = spec_field(opts, "r", spec_int, f"{at}.riemann_hurwitz")
+        r = spec_field(opts, "r", _cover_degree, f"{at}.riemann_hurwitz")
         hits_index = spec_field(opts, "hits_index", spec_list(spec_int), f"{at}.riemann_hurwitz",
                                 None)
         rows = []
@@ -476,7 +484,7 @@ def _cmd_ledger(args):
     if "connected" in checks:
         opts, at = checks["connected"], f"{at}.connected"
         flag = cover.cover_connected(spec_field(opts, "d_values", spec_list(spec_int), at),
-                                     spec_field(opts, "r", spec_int, at))
+                                     spec_field(opts, "r", _cover_degree, at))
         result["connected"] = flag
         lines.append(f"pre-image connected: {'yes' if flag else 'no'}")
     return result, lines, data

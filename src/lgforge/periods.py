@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
 from pathlib import Path
 from typing import Callable, Literal, Sequence
 
@@ -114,18 +114,71 @@ def _pair(hi: dict[int, int], lo: dict[int, int], target: int) -> int:
     return sum(c * get(target - a, 0) for a, c in small.items())
 
 
+def _simplex_solve(exps: list[tuple[int, ...]], r: int, t: Sequence[int]
+                   ) -> list[Fraction] | Literal[False] | None:
+    """The a with sum(a_i) = r and sum(a_i * e_i) = t over the support e_1..e_T.
+
+    When no e_i is an affine combination of the others (the support spans a
+    simplex, so T <= n + 1), the vectors (1, e_i) are independent and a is
+    unique if it exists: returns it, or False when the system has no
+    solution.  Returns None for an affinely dependent support, whose caller
+    runs the ``_half_powers`` kernel instead.  Gauss-Jordan elimination in
+    integers; only the last division makes Fractions.
+    """
+    rows = [[1] * len(exps) + [r]] + [[e[i] for e in exps] + [x] for i, x in enumerate(t)]
+    for col in range(len(exps)):
+        pick = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            return None
+        rows[col], rows[pick] = rows[pick], rows[col]
+        pivot = rows[col]
+        p = pivot[col]
+        for i, row in enumerate(rows):
+            q = row[col]
+            if q and i != col:
+                rows[i] = [p * x - q * y for x, y in zip(row, pivot)]
+    if any(row[-1] for row in rows[len(exps):]):
+        return False
+    return [Fraction(row[-1], row[i]) for i, row in enumerate(rows[:len(exps)])]
+
+
 def period_sequence(f: LaurentPoly, up_to: int) -> PeriodSequence:
     """Constant terms of f**k for k = 0..up_to, exactly.
 
-    One kernel: write f = g/D with g integral and build g**0..g**h for
-    h = ceil(up_to/2) on packed int exponent keys (see ``_half_powers``).
-    For k <= h, c_0(g**k) is read off g**k itself; for h < k <= up_to it is
-    sum_a g**(k-h)[a] * g**h[-a], iterating the smaller g**(k-h).  Then
-    c_k = c_0(g**k) / D**k.  h is the cheapest split: one more power costs
-    more dict updates than the pairing lookups it would save.
+    Closed form when the support of f is affinely independent (at most
+    n + 1 terms, none an affine combination of the others), as for the
+    mirrors of projective and weighted projective spaces: each c_k is then
+    one multinomial term.  With λ the barycentric coordinates of the origin
+    over the support, c_k = 0 for k >= 1 if the origin is off the support's
+    affine span or some λ_i < 0; otherwise c_k is nonzero only at k = jm,
+    m the lcm of λ's denominators and ℓ = mλ, where
+    c_jm = (jm)!/prod (jℓ_i)! * prod c_i**(jℓ_i).
+
+    Every other f takes the kernel: write f = g/D with g integral and build
+    g**0..g**h for h = ceil(up_to/2) on packed int exponent keys (see
+    ``_half_powers``).  For k <= h, c_0(g**k) is read off g**k itself; for
+    h < k <= up_to it is sum_a g**(k-h)[a] * g**h[-a], iterating the smaller
+    g**(k-h).  Then c_k = c_0(g**k) / D**k.  h is the cheapest split: one
+    more power costs more dict updates than the pairing lookups it would save.
     """
     if up_to < 0:
         raise ValueError("up_to must be nonnegative")
+    terms = f.terms
+    if len(terms) <= f.rank + 1:
+        lam = _simplex_solve(list(terms), 1, (0,) * f.rank)
+        if lam is not None:
+            coeffs = [Fraction(1)] + [Fraction(0)] * up_to
+            if lam is not False and min(lam) >= 0:
+                m = lcm(*(x.denominator for x in lam))
+                ell = [x.numerator * (m // x.denominator) for x in lam]
+                weight = prod(c ** l for c, l in zip(terms.values(), ell))
+                multinomial, power = 1, Fraction(1)
+                for j in range(1, up_to // m + 1):  # (jm)!/prod (jℓ_i)! from its value at j - 1
+                    multinomial = multinomial * prod(range((j - 1) * m + 1, j * m + 1)) // prod(
+                        prod(range((j - 1) * l + 1, j * l + 1)) for l in ell)
+                    power *= weight
+                    coeffs[j * m] = multinomial * power
+            return PeriodSequence("computed", tuple(coeffs), "computed")
     h = (up_to + 1) // 2
     powers, denom, _ = _half_powers(f, h, (0,) * f.rank)
     constants = [p.get(0, 0) for p in powers]
@@ -141,9 +194,13 @@ def period_sequence(f: LaurentPoly, up_to: int) -> PeriodSequence:
 def power_coefficient(f: LaurentPoly, r: int, t: Sequence[int]) -> Fraction:
     """The coefficient of x**t in f**r, exactly, without building f**r.
 
-    Pairs g**ceil(r/2) with g**floor(r/2) at t - a (see ``_half_powers``),
-    and returns 0 at once when t lies outside r times the bounding box of the
-    support of f.
+    Returns 0 at once when t lies outside r times the bounding box of the
+    support of f.  When the support is affinely independent (at most n + 1
+    terms, none an affine combination of the others), x**t comes from at
+    most one choice of a_i factors c_i x**e_i with sum(a_i) = r and
+    sum(a_i e_i) = t, so the coefficient is r!/prod a_i! * prod c_i**a_i for
+    integral a >= 0, and 0 otherwise.  Every other f takes the kernel, which
+    pairs g**ceil(r/2) with g**floor(r/2) at t - a (see ``_half_powers``).
     """
     if not isinstance(r, int) or r < 0:
         raise ValueError(f"exponent must be a nonnegative integer, got {r!r}")
@@ -154,6 +211,16 @@ def power_coefficient(f: LaurentPoly, r: int, t: Sequence[int]) -> Fraction:
     if support and any(not r * min(e[i] for e in support) <= x <= r * max(e[i] for e in support)
                        for i, x in enumerate(t)):
         return Fraction(0)
+    if len(support) <= f.rank + 1:
+        a = _simplex_solve(list(support), r, t)
+        if a is False:
+            return Fraction(0)
+        if a is not None:
+            if any(x < 0 or x.denominator != 1 for x in a):
+                return Fraction(0)
+            a = [x.numerator for x in a]
+            return Fraction(factorial(r) // prod(map(factorial, a))
+                            * prod(c ** x for c, x in zip(support.values(), a)))
     powers, denom, pack = _half_powers(f, (r + 1) // 2, t)
     return Fraction(_pair(powers[(r + 1) // 2], powers[r // 2], pack(t)), denom ** r)
 

@@ -49,6 +49,20 @@ def p2_constant_term(k: int) -> int:
     return factorial(k) // (factorial(m) ** 3)
 
 
+def weighted_projective_period(weights: tuple[int, ...], k: int) -> int:
+    """The k-th period coefficient of the weighted projective space P(w_0..w_n):
+    (md)!/prod (w_i d)! at k = md, m = sum(w), and 0 when m does not divide k.
+    With w_0 = 1 it is c_0(f^k) for the mirror f = x_1 + ... + x_n + 1/prod x_i^w_i."""
+    m = sum(weights)
+    if k % m != 0:
+        return 0
+    d = k // m
+    out = factorial(k)
+    for w in weights:
+        out //= factorial(w * d)
+    return out
+
+
 def central_binomial_term(k: int) -> int:
     """c_0((x + 1/x)^k): paths returning to the origin."""
     return comb(k, k // 2) if k % 2 == 0 else 0

@@ -241,7 +241,12 @@ MALFORMED = [
      2, ["{tmp}/input8.csv: bad coefficient 'x' (line 2)"]),
     ("ledger-connected-r-zero", ["ledger", "--spec", {
         "classes": [CLASS], "checks": {"connected": {"d_values": [1], "r": 0}}}],
-     2, ["cover degree must be at least 2"]),
+     2, ["{tmp}/input2.json: checks.connected: bad value for 'r'",
+         "cover degree must be at least 2, got 0"]),
+    ("ledger-riemann-hurwitz-r-one", ["ledger", "--spec", {
+        "classes": [CLASS], "checks": {"riemann_hurwitz": {"r": 1}}}],
+     2, ["{tmp}/input2.json: checks.riemann_hurwitz: bad value for 'r'",
+         "cover degree must be at least 2, got 1"]),
     ("cover-r-negative", ["cover", "--spec", dict(COVER, r=-2)],
      2, ["cover spec", "'r'", "cover degree must be at least 2, got -2"]),
     ("reference-name-number", ["check-weak-lg", *EXPR, "-K", "2", "--reference",

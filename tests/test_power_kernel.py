@@ -1,10 +1,13 @@
-"""The exact power kernel behind period sequences and tangency numbers.
+"""The exact power kernel behind period sequences and tangency numbers, and
+the closed form that replaces it on an affinely independent support.
 
-Every check compares against naive powering in ``LaurentPoly``, which keeps
-Fraction coefficients and tuple exponents and so shares nothing with the
-kernel's integer coefficients and packed exponent keys.
+Every check compares against naive powering, in ``LaurentPoly`` or in
+``oracles.dict_pow``, which keep Fraction coefficients and tuple exponents and
+so share nothing with the kernel's integer coefficients and packed exponent
+keys, nor with the closed form's linear solve.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,9 @@ from hypothesis import strategies as st
 
 from lgforge import (LaurentPoly, RankMismatchError, parse_poly, period_sequence,
                      power_coefficient)
+from lgforge.periods import _simplex_solve
+
+import oracles
 
 
 def naive_periods(f, up_to):
@@ -107,3 +113,100 @@ def test_power_coefficient_errors():
     with pytest.raises(ValueError):
         power_coefficient(f, -1, (0, 0))
 
+
+
+# ---------------------------------------------------------------------------
+# the closed form on an affinely independent support
+# ---------------------------------------------------------------------------
+
+def takes_closed_form(f) -> bool:
+    exps = list(f.terms)
+    return len(exps) <= f.rank + 1 and _simplex_solve(exps, 1, (0,) * f.rank) is not None
+
+
+def check_against_oracle(f, up_to, targets=()):
+    terms, n = f.terms, f.rank
+    assert list(period_sequence(f, up_to).coeffs) == [
+        oracles.constant_term_of_power(terms, k, n) for k in range(up_to + 1)]
+    power = oracles.dict_pow(terms, up_to, n)
+    for t in list(power) + list(targets):
+        assert power_coefficient(f, up_to, t) == power.get(tuple(t), 0)
+
+
+@st.composite
+def simplex_potentials(draw):
+    """A potential on T <= n + 1 affinely independent exponents, with the
+    origin at barycentric coordinates l/m (m = sum(l)) over them: inside the
+    simplex when every l_i > 0, on a face when some l_i = 0, outside it when
+    some l_i < 0.  An optional shift moves the origin off the simplex's affine
+    span when T < n + 1.  The simplex is the coordinate one with vertices
+    0, d_1 u_1, ..., d_(T-1) u_(T-1), scaled by m and moved by a random
+    unimodular chart."""
+    n = draw(st.integers(1, 4))
+    size = draw(st.integers(1, n + 1))
+    weights = draw(st.lists(st.integers(-1, 2), min_size=size, max_size=size)
+                   .filter(lambda w: sum(w) > 0))
+    chart = oracles.random_unimodular(random.Random(draw(st.integers(0, 2**16))), n, steps=3)
+    shift = draw(st.one_of(st.just((0,) * n), st.tuples(*[st.integers(-1, 1)] * n)))
+    vertices = [[0] * n] + [[draw(st.integers(1, 2)) if i == j else 0 for i in range(n)]
+                            for j in range(size - 1)]
+    m = sum(weights)
+    origin = [sum(w * v[i] for w, v in zip(weights, vertices)) for i in range(n)]
+    points = [[m * x - o + s for x, o, s in zip(v, origin, shift)] for v in vertices]
+    exps = [tuple(sum(a * x for a, x in zip(row, p)) for row in chart) for p in points]
+    return LaurentPoly(n, {e: draw(coefficients) for e in exps})
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(simplex_potentials(), st.integers(0, 7), st.data())
+def test_closed_form_matches_the_oracle_on_a_simplex(f, up_to, data):
+    assert takes_closed_form(f)
+    # t = sum(a_i e_i) with sum(a_i) = up_to but some a_i < 0 is no coefficient.
+    a = data.draw(st.lists(st.integers(-2, up_to), min_size=len(f.terms) - 1,
+                           max_size=len(f.terms) - 1))
+    a.append(up_to - sum(a))
+    spanned = tuple(sum(x * e[i] for x, e in zip(a, f.terms)) for i in range(f.rank))
+    check_against_oracle(f, up_to, [spanned,
+                                    data.draw(st.tuples(*[st.integers(-12, 12)] * f.rank))])
+
+
+@pytest.mark.parametrize("text, names, up_to", [
+    ("x + y + y/x", "x,y", 6),                    # origin outside the simplex
+    ("x + 1/x + y", "x,y", 8),                    # origin on an edge
+    ("x/3 - 2*y + 1/(x^2*y^3)", "x,y", 12),       # origin inside, m = 6
+    ("x + y", "x,y", 4),                          # origin off the affine span
+    ("-5/2", "x,y,z", 5),                         # a constant
+    ("3*x^2/(7*y)", "x,y", 5),                    # a single monomial
+    ("x + y + 1/(x*y)", "x,y", 0),                # K = 0 and r = 0
+    ("0", "x", 3),                                # no terms
+])
+def test_closed_form_special_supports(text, names, up_to):
+    f = parse_poly(text, names.split(","))
+    assert takes_closed_form(f)
+    check_against_oracle(f, up_to, [(up_to + 4,) * f.rank, (-up_to - 9,) + (0,) * (f.rank - 1)])
+
+
+def test_dependent_support_takes_the_kernel():
+    f = parse_poly("x + 1/x + 3", ["x", "y"])   # three collinear exponents, T = n + 1
+    assert _simplex_solve(list(f.terms), 1, (0, 0)) is None
+    check_against_oracle(f, 7, [(1, 0), (0, 1), (9, 0)])
+
+
+def test_weighted_projective_periods():
+    """The closed form against (md)!/prod (w_i d)! for the mirrors
+    x_1 + ... + x_n + 1/prod x_i**w_i of P(1, w_1..w_n)."""
+    cases = [(1,) * (n + 1) for n in range(1, 5)] + [(1, 1, 2), (1, 2, 3)]
+    for weights in cases:
+        n = len(weights) - 1
+        names = [f"x{i}" for i in range(1, n + 1)]
+        denominator = "*".join(f"{x}^{w}" for x, w in zip(names, weights[1:]))
+        f = parse_poly(" + ".join(names) + f" + 1/({denominator})", names)
+        expected = [oracles.weighted_projective_period(weights, k) for k in range(31)]
+        assert list(period_sequence(f, 30).coeffs) == expected
+    # P(1,1,2)'s mirror x + y + 1/(x*y^2) in the chart x = 2X, y = 2XY/3: c_0(f^k)
+    # does not change, since a torus rescaling multiplies each term of f^k by
+    # s^(its exponent).
+    f = parse_poly("2*X + 2*X*Y/3 + 9/(8*X^3*Y^2)", ["X", "Y"])
+    assert takes_closed_form(f)
+    assert list(period_sequence(f, 30).coeffs) == [
+        oracles.weighted_projective_period((1, 1, 2), k) for k in range(31)]
