@@ -10,9 +10,18 @@ Pair i (i = 0..9) runs ``python3 perfbench/run.py --workload WORKLOAD
 pairs and the change first on odd ones.  For each end-to-end metric of the
 parent's ``BENCHMARK.json`` it prints the parent's median and quartiles
 [q1, q3], the change's median, the pairs the change won (ties count for
-neither side), and whether the medians differ by more than the parent's
-quartile spread q3 - q1.  Quartiles interpolate linearly between order
-statistics (``statistics.quantiles(..., method="inclusive")``).
+neither side), whether the medians differ by more than the parent's
+quartile spread q3 - q1, and a verdict against the metric's ``bound``, the
+share of the parent's median by which the change may be worse:
+
+- *unresolved*: the parent's quartile spread exceeds that share, and not
+  every change run beats every parent run, so the runs cannot tell;
+- *regressed*: otherwise, the change's median is worse than the parent's by
+  more than that share;
+- *within bound*: otherwise.
+
+Quartiles interpolate linearly between order statistics
+(``statistics.quantiles(..., method="inclusive")``).
 
 Exits 1 as soon as a run fails, reports an incorrect result or a failed
 operation, and 0 otherwise, whatever the numbers say.
@@ -29,9 +38,10 @@ from pathlib import Path
 PAIRS = 10
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
-    """Medians, the parent's quartiles, the pairs the change won and whether
-    the gap between the medians exceeds the parent's quartile spread.
+def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Medians, the parent's quartiles, the pairs the change won, whether the
+    gap between the medians exceeds the parent's quartile spread, and the
+    verdict against ``bound`` (see the module docstring).
 
     ``parent[i]`` and ``change[i]`` are the two runs of pair i; ``better`` is
     "lower" or "higher".
@@ -39,6 +49,13 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     sign = 1 if better == "higher" else -1
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     parent_median, change_median = statistics.median(parent), statistics.median(change)
+    allowed = bound * abs(parent_median)
+    if q3 - q1 > allowed and not all(sign * (c - p) > 0 for p in parent for c in change):
+        verdict = "unresolved"
+    elif sign * (parent_median - change_median) > allowed:
+        verdict = "regressed"
+    else:
+        verdict = "within bound"
     return {
         "parent_median": parent_median,
         "parent_q1": q1,
@@ -47,6 +64,7 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
         "pairs": len(parent),
         "exceeds_spread": abs(change_median - parent_median) > q3 - q1,
+        "verdict": verdict,
     }
 
 
@@ -87,11 +105,12 @@ def main(argv: list[str]) -> int:
     for m in metrics:
         name = m["name"]
         s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                      m["better"])
+                      m["better"], m["bound"])
         print(f"  {name} ({m['unit']}, {m['better']} is better): parent {s['parent_median']:.4g} "
               f"[{s['parent_q1']:.4g}, {s['parent_q3']:.4g}], change {s['change_median']:.4g}, "
               f"won {s['won']}/{s['pairs']}, gap beyond the parent's spread: "
-              f"{'yes' if s['exceeds_spread'] else 'no'}")
+              f"{'yes' if s['exceeds_spread'] else 'no'}; {s['verdict']} "
+              f"(bound {m['bound']:.0%})")
     return 0
 
 

@@ -56,7 +56,7 @@ from . import __version__, cover, critical, lattice
 from .errors import ExprSyntaxError, LGForgeError, ReferenceFormatError
 from .mutation import apply_substitution, check_period_invariance, substitution_from_dict
 from .parsing import (parse_poly, spec_bool, spec_field, spec_fraction, spec_int, spec_list,
-                      spec_object, spec_str)
+                      spec_names, spec_object, spec_str)
 from .periods import DescendantConstant, ingest_reference, is_weak_lg, period_sequence
 
 _USAGE_ERRORS = (ExprSyntaxError, ReferenceFormatError, OSError, ValueError)
@@ -89,20 +89,23 @@ def _read_expr(value: str) -> str:
     return sys.stdin.read() if value == "-" else value
 
 
-def _csv_flag(text: str, flag: str, item=int, length: int | None = None) -> list:
-    """The comma-separated values of an inline flag, each converted by ``item``;
-    a value ``item`` rejects, or a count other than ``length``, is a ValueError
-    naming the flag."""
+def _csv_flag(text: str, flag: str, convert=spec_list(int)) -> list:
+    """The comma-separated values of an inline flag, as a list passed through
+    ``convert`` (``spec_list`` or ``spec_names``); a list ``convert`` rejects
+    is a ValueError naming the flag."""
     try:
-        return spec_list(item, length)(_split_csv(text))
+        return convert(_split_csv(text))
     except ValueError as exc:
         raise ValueError(f"bad value for {flag}: {exc}") from None
 
 
 def _max_power(args) -> int:
-    """The -K flag, which bounds k in c_k and so may not be negative."""
+    """The -K flag, which bounds k in c_k: not negative, and at most
+    sys.maxsize, the longest list, which c_0..c_K must fit in."""
     if args.max_power < 0:
         raise ValueError(f"-K must be nonnegative, got {args.max_power}")
+    if args.max_power > sys.maxsize:
+        raise ValueError(f"-K must be at most {sys.maxsize}, got {args.max_power}")
     return args.max_power
 
 
@@ -142,10 +145,10 @@ def _expr_inputs(args) -> tuple[str, list[str], dict]:
     if data is None:
         if not args.expr or not args.vars:
             raise ValueError("provide --expr and --vars, or --spec")
-        expr, varnames = _read_expr(args.expr), _split_csv(args.vars)
+        expr, varnames = _read_expr(args.expr), _csv_flag(args.vars, "--vars", spec_names())
     else:
         expr = spec_field(data, "expr", spec_str, args.spec)
-        varnames = spec_field(data, "vars", spec_list(spec_str), args.spec)
+        varnames = spec_field(data, "vars", spec_names(), args.spec)
     return expr, varnames, {"expr": expr, "vars": varnames}
 
 
@@ -164,7 +167,7 @@ def _provenance(command: str, inputs: dict, seed: int) -> dict:
 
 def _cmd_eval(args):
     expr, varnames, raw = _expr_inputs(args)
-    point = _csv_flag(args.point, "--point", _finite_complex, length=len(varnames))
+    point = _csv_flag(args.point, "--point", spec_list(_finite_complex, len(varnames)))
     raw["point"] = [str(p) for p in point]
     f = parse_poly(expr, varnames)
     value = f.evaluate(point)
@@ -210,7 +213,7 @@ def _cmd_cover(args):
 
 def _cmd_quotient(args):
     expr, varnames, raw = _expr_inputs(args)
-    weights = _csv_flag(args.weights, "--weights", length=len(varnames))
+    weights = _csv_flag(args.weights, "--weights", spec_list(int, len(varnames)))
     if args.modulus < 1:
         raise ValueError(f"-r must be at least 1, got {args.modulus}")
     raw.update({"weights": weights, "r": args.modulus})
@@ -224,7 +227,7 @@ def _cmd_quotient(args):
         except ValueError as exc:
             raise ValueError(f"bad value for --basis: {exc}") from None
         raw["basis"] = args.basis
-    new_vars = (_csv_flag(args.new_vars, "--new-vars", str, length=len(varnames))
+    new_vars = (_csv_flag(args.new_vars, "--new-vars", spec_names(len(varnames)))
                 if args.new_vars else None)
     g = lattice.rewrite_in_sublattice(f, sublattice, varnames=new_vars)
     result = {
@@ -322,13 +325,14 @@ def _cmd_tangency(args):
         if args.degree is None:
             raise ValueError("the cover degree -r is required")
         data.update(r=args.degree,
-                    boundary=_csv_flag(args.boundary, "--boundary", length=len(data["vars"])),
+                    boundary=_csv_flag(args.boundary, "--boundary",
+                                       spec_list(int, len(data["vars"]))),
                     multiplicities=(_csv_flag(args.multiplicities, "--multiplicities")
                                     if args.multiplicities else None),
                     descendant=args.descendant, smooth=args.smooth)
         where = "command line"
     expr = spec_field(data, "potential" if args.spec else "expr", spec_str, where)
-    varnames = spec_field(data, "vars", spec_list(spec_str), where)
+    varnames = spec_field(data, "vars", spec_names(), where)
     r = spec_field(data, "r", spec_int, where)
     if r < 0:
         raise ValueError(f"{where}: bad value for 'r': expected a nonnegative integer, got {r}"
@@ -424,14 +428,6 @@ def _ledger_checks(data: dict, where: str) -> dict[str, dict]:
     return enabled
 
 
-def _cover_degree(value) -> int:
-    """Converter for a ledger check's cover degree r, which must be at least 2."""
-    r = spec_int(value)
-    if r < 2:
-        raise ValueError(f"cover degree must be at least 2, got {r}")
-    return r
-
-
 def _cmd_ledger(args):
     data, where = _spec(args, spec_only=True), args.spec
     classes = []
@@ -470,7 +466,8 @@ def _cmd_ledger(args):
             lines.append("not monotone (no single area/Maslov ratio)")
     if "riemann_hurwitz" in checks:
         opts = checks["riemann_hurwitz"]
-        r = spec_field(opts, "r", _cover_degree, f"{at}.riemann_hurwitz")
+        r = spec_field(opts, "r", lambda value: cover.cover_degree(spec_int(value)),
+                       f"{at}.riemann_hurwitz")
         hits_index = spec_field(opts, "hits_index", spec_list(spec_int), f"{at}.riemann_hurwitz",
                                 None)
         rows = []
@@ -483,8 +480,9 @@ def _cmd_ledger(args):
         result["riemann_hurwitz"] = {"r": r, "rows": rows}
     if "connected" in checks:
         opts, at = checks["connected"], f"{at}.connected"
-        flag = cover.cover_connected(spec_field(opts, "d_values", spec_list(spec_int), at),
-                                     spec_field(opts, "r", _cover_degree, at))
+        flag = cover.cover_connected(
+            spec_field(opts, "d_values", spec_list(spec_int), at),
+            spec_field(opts, "r", lambda value: cover.cover_degree(spec_int(value)), at))
         result["connected"] = flag
         lines.append(f"pre-image connected: {'yes' if flag else 'no'}")
     return result, lines, data

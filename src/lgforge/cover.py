@@ -100,6 +100,13 @@ def derive_action(f: LaurentPoly, functional: DivisorFunctional, r: int) -> Char
 # the cover pipeline
 # ---------------------------------------------------------------------------
 
+def cover_degree(r: int) -> int:
+    """``r`` itself if it is at least 2, the least degree of a cyclic cover."""
+    if r < 2:
+        raise ValueError(f"cover degree must be at least 2, got {r}")
+    return r
+
+
 @record
 class CoverSpec:
     """Input data for one cyclic cover step at the potential level."""
@@ -110,8 +117,7 @@ class CoverSpec:
     descendant: DescendantConstant
 
     def __post_init__(self):
-        if self.r < 2:
-            raise ValueError("cover degree must be at least 2")
+        cover_degree(self.r)
         if self.descendant.r != self.r:
             raise ValueError(
                 f"descendant degree {self.descendant.r} does not match cover degree {self.r}")
@@ -242,9 +248,7 @@ class RHLift:
 
 def riemann_hurwitz_lift(half_maslov_down: int, divisor_hits: int, r: int) -> RHLift:
     """Open Riemann-Hurwitz: mu_up/2 = mu_down/2 - (r-1)/r * hits."""
-    if r < 2:
-        raise ValueError("cover degree must be at least 2")
-    value = Fraction(half_maslov_down) - Fraction(r - 1, r) * divisor_hits
+    value = Fraction(half_maslov_down) - Fraction(cover_degree(r) - 1, r) * divisor_hits
     return RHLift(value, value.denominator == 1)
 
 
@@ -294,12 +298,7 @@ def monotonicity_check(classes: Sequence[DiscClass]) -> Fraction | None:
 
 def cover_connected(divisor_values: Sequence[int], r: int) -> bool:
     """Is the pre-image torus connected? True iff the linking values generate Z_r."""
-    if r < 2:
-        raise ValueError("cover degree must be at least 2")
-    g = r
-    for value in divisor_values:
-        g = gcd(g, value)
-    return g == 1
+    return gcd(cover_degree(r), *divisor_values) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +318,10 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
     A missing or malformed key raises ValueError naming it.
     """
     from .parsing import (parse_poly, spec_field, spec_fraction, spec_int, spec_list,
-                          spec_object, spec_str)
+                          spec_names, spec_object, spec_str)
 
     where = "cover spec"
-    varnames = spec_field(data, "vars", spec_list(spec_str), where)
+    varnames = spec_field(data, "vars", spec_names(), where)
     potential = parse_poly(spec_field(data, "potential", spec_str, where), varnames)
     fun = spec_field(data, "functional", spec_object, where)
     functional = DivisorFunctional(
@@ -330,9 +329,7 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
                          f"{where}: functional")),
         spec_field(fun, "constant", spec_fraction, f"{where}: functional"),
     )
-    r = spec_field(data, "r", spec_int, where)
-    if r < 2:  # before DescendantConstant, whose own check does not name 'r'
-        raise ValueError(f"{where}: bad value for 'r': cover degree must be at least 2, got {r}")
+    r = spec_field(data, "r", lambda value: cover_degree(spec_int(value)), where)
     descendant = DescendantConstant(r, spec_field(data, "descendant", spec_fraction, where))
     spec = CoverSpec(potential, functional, r, descendant)
 
@@ -343,6 +340,6 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
         return columns
 
     basis = spec_field(data, "basis", basis_columns, where, None)
-    qvars = spec_field(data, "quotient_vars", spec_list(spec_str, len(varnames)), where, None)
+    qvars = spec_field(data, "quotient_vars", spec_names(len(varnames)), where, None)
     return spec, basis, qvars
 

@@ -46,6 +46,8 @@ class LaurentPoly:
     """A Laurent polynomial with exact rational coefficients.
 
     ``terms`` maps exponent tuples of length ``rank`` to nonzero Fractions.
+    The constructor sums equal keys and drops zero sums; it is the only code
+    that does, so the arithmetic below just accumulates into a plain dict.
     ``varnames`` are display names only; they never affect equality.
     """
 
@@ -146,11 +148,7 @@ class LaurentPoly:
         out = dict(self._terms)
         for e, c in other._terms.items():
             acc = out.get(e)
-            s = c if acc is None else acc + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = c if acc is None else acc + c
         return LaurentPoly(self.rank, out, self.varnames)
 
     __radd__ = __add__
@@ -176,19 +174,13 @@ class LaurentPoly:
             for e2, c2 in big.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 acc = out.get(e)
-                s = c1 * c2 if acc is None else acc + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                out[e] = c1 * c2 if acc is None else acc + c1 * c2
         return LaurentPoly(self.rank, out, self.varnames)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
         c = _coerce_coeff(c)
-        if c == 0:
-            return LaurentPoly.zero(self.rank, self.varnames)
         return LaurentPoly(self.rank, {e: c * v for e, v in self._terms.items()}, self.varnames)
 
     def __pow__(self, k: int) -> "LaurentPoly":
@@ -251,11 +243,7 @@ class LaurentPoly:
         for e, c in self._terms.items():
             img = tuple(sum(r[j] * e[j] for j in range(self.rank)) for r in rows)
             acc = out.get(img)
-            s = c if acc is None else acc + c
-            if s == 0:
-                out.pop(img, None)
-            else:
-                out[img] = s
+            out[img] = c if acc is None else acc + c
         return LaurentPoly(out_rank, out, varnames)
 
     # ------------------------------------------------------------- evaluation
@@ -505,9 +493,8 @@ class RationalExpr:
 
 def _tidy(num: LaurentPoly, den: LaurentPoly) -> RationalExpr:
     # Fold monomial denominators into the numerator; keeps parser output small
-    # and makes laurent_normalize trivial for the common case.
-    if den.is_zero():
-        raise ZeroDenominatorError("denominator is the zero polynomial")
+    # and makes laurent_normalize trivial for the common case.  A zero ``den``
+    # is no monomial, and RationalExpr rejects it.
     if den.is_monomial():
         return RationalExpr(divide_exact(num, den),
                             LaurentPoly.constant(num.rank, 1, num.varnames))

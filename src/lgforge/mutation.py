@@ -89,8 +89,8 @@ def substitution_from_dict(data: dict) -> Substitution:
 
     A missing or malformed key raises ValueError naming it.
     """
-    from .parsing import parse, spec_field, spec_list, spec_str
+    from .parsing import parse, spec_field, spec_list, spec_names, spec_str
 
-    varnames = spec_field(data, "vars", spec_list(spec_str), "substitution")
+    varnames = spec_field(data, "vars", spec_names(), "substitution")
     texts = spec_field(data, "images", spec_list(spec_str, len(varnames)), "substitution")
     return Substitution(tuple(parse(text, varnames) for text in texts))

@@ -68,8 +68,7 @@ class _Parser:
         self.rank = len(self.varnames)
         if self.rank == 0:
             raise ValueError("at least one variable name is required")
-        if len(set(self.varnames)) != self.rank:
-            raise ValueError(f"duplicate variable names in {self.varnames}")
+        check_names(self.varnames)
         self.index = {name: i for i, name in enumerate(self.varnames)}
 
     def peek(self) -> tuple[str, str, int]:
@@ -143,6 +142,17 @@ class _Parser:
         raise ExprSyntaxError(f"expected a value, found {text!r}" if text else "unexpected end of input", pos)
 
 
+def check_names(names: Sequence[str]) -> None:
+    """Raise ValueError unless every name is a NAME of the grammar, none twice."""
+    seen = set()
+    for name in names:
+        if not (isinstance(name, str) and name[:1] in _NAME_START and set(name) <= _NAME_BODY):
+            raise ValueError(f"{name!r} is not a variable name ([a-zA-Z][a-zA-Z0-9_]*)")
+        if name in seen:
+            raise ValueError(f"duplicate variable name {name!r}")
+        seen.add(name)
+
+
 def parse(text: str, varnames: Sequence[str]) -> RationalExpr:
     """Parse ``text`` into a rational expression over the named variables."""
     parser = _Parser(text, varnames)
@@ -191,6 +201,18 @@ def spec_list(item: Callable[[Any], Any], length: int | None = None) -> Callable
         if length is not None and len(value) != length:
             raise ValueError(f"expected {length} values (one per variable), got {len(value)}")
         return [item(v) for v in value]
+    return convert
+
+
+def spec_names(length: int | None = None) -> Callable[[Any], list[str]]:
+    """Converter for a list of variable names (see ``check_names``); with
+    ``length``, a list of any other length is rejected."""
+    strings = spec_list(spec_str, length)
+
+    def convert(value) -> list[str]:
+        names = strings(value)
+        check_names(names)
+        return names
     return convert
 
 

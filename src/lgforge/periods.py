@@ -60,7 +60,7 @@ class DescendantConstant:
 
 def _half_powers(f: LaurentPoly, h: int, pad: Sequence[int]
                  ) -> tuple[list[dict[int, int]], int, Callable[[Sequence[int]], int]]:
-    """Powers g**0..g**h of the integral form g = D*f, on packed exponent keys.
+    """Powers g**0..g**h of the integral form g = D*f != 0, on packed exponent keys.
 
     Returns ``(powers, D, pack)``.  ``pack`` sends an exponent vector e to
     sum(e_i * R_i) with R_0 = 1 and R_(i+1) = R_i * (2*B_i + 1), where
@@ -88,10 +88,8 @@ def _half_powers(f: LaurentPoly, h: int, pad: Sequence[int]
     def pack(e: Sequence[int]) -> int:
         return sum(x * r for x, r in zip(e, radices))
 
-    g = [(pack(e), c.numerator * (denom // c.denominator)) for e, c in terms.items()]
-    if not g:
-        return [{0: 1}] + [{} for _ in range(h)], denom, pack
-    (k0, c0), *rest = g
+    (k0, c0), *rest = [(pack(e), c.numerator * (denom // c.denominator))
+                       for e, c in terms.items()]
     powers = [{0: 1}]
     for _ in range(h):
         prev = powers[-1]
@@ -121,10 +119,12 @@ def _simplex_solve(exps: list[tuple[int, ...]], r: int, t: Sequence[int]
     When no e_i is an affine combination of the others (the support spans a
     simplex, so T <= n + 1), the vectors (1, e_i) are independent and a is
     unique if it exists: returns it, or False when the system has no
-    solution.  Returns None for an affinely dependent support, whose caller
-    runs the ``_half_powers`` kernel instead.  Gauss-Jordan elimination in
-    integers; only the last division makes Fractions.
+    solution.  Returns None for an affinely dependent support (at once when
+    T > n + 1); its caller runs the ``_half_powers`` kernel instead.
+    Gauss-Jordan elimination in integers; only the last division makes Fractions.
     """
+    if len(exps) > len(t) + 1:
+        return None
     rows = [[1] * len(exps) + [r]] + [[e[i] for e in exps] + [x] for i, x in enumerate(t)]
     for col in range(len(exps)):
         pick = next((i for i in range(col, len(rows)) if rows[i][col]), None)
@@ -164,21 +164,20 @@ def period_sequence(f: LaurentPoly, up_to: int) -> PeriodSequence:
     if up_to < 0:
         raise ValueError("up_to must be nonnegative")
     terms = f.terms
-    if len(terms) <= f.rank + 1:
-        lam = _simplex_solve(list(terms), 1, (0,) * f.rank)
-        if lam is not None:
-            coeffs = [Fraction(1)] + [Fraction(0)] * up_to
-            if lam is not False and min(lam) >= 0:
-                m = lcm(*(x.denominator for x in lam))
-                ell = [x.numerator * (m // x.denominator) for x in lam]
-                weight = prod(c ** l for c, l in zip(terms.values(), ell))
-                multinomial, power = 1, Fraction(1)
-                for j in range(1, up_to // m + 1):  # (jm)!/prod (jℓ_i)! from its value at j - 1
-                    multinomial = multinomial * prod(range((j - 1) * m + 1, j * m + 1)) // prod(
-                        prod(range((j - 1) * l + 1, j * l + 1)) for l in ell)
-                    power *= weight
-                    coeffs[j * m] = multinomial * power
-            return PeriodSequence("computed", tuple(coeffs), "computed")
+    lam = _simplex_solve(list(terms), 1, (0,) * f.rank)
+    if lam is not None:
+        coeffs = [Fraction(1)] + [Fraction(0)] * up_to
+        if lam is not False and min(lam) >= 0:
+            m = lcm(*(x.denominator for x in lam))
+            ell = [x.numerator * (m // x.denominator) for x in lam]
+            weight = prod(c ** l for c, l in zip(terms.values(), ell))
+            multinomial, power = 1, Fraction(1)
+            for j in range(1, up_to // m + 1):  # (jm)!/prod (jℓ_i)! from its value at j - 1
+                multinomial = multinomial * prod(range((j - 1) * m + 1, j * m + 1)) // prod(
+                    prod(range((j - 1) * l + 1, j * l + 1)) for l in ell)
+                power *= weight
+                coeffs[j * m] = multinomial * power
+        return PeriodSequence("computed", tuple(coeffs), "computed")
     h = (up_to + 1) // 2
     powers, denom, _ = _half_powers(f, h, (0,) * f.rank)
     constants = [p.get(0, 0) for p in powers]
@@ -211,16 +210,15 @@ def power_coefficient(f: LaurentPoly, r: int, t: Sequence[int]) -> Fraction:
     if support and any(not r * min(e[i] for e in support) <= x <= r * max(e[i] for e in support)
                        for i, x in enumerate(t)):
         return Fraction(0)
-    if len(support) <= f.rank + 1:
-        a = _simplex_solve(list(support), r, t)
-        if a is False:
+    a = _simplex_solve(list(support), r, t)
+    if a is False:
+        return Fraction(0)
+    if a is not None:
+        if any(x < 0 or x.denominator != 1 for x in a):
             return Fraction(0)
-        if a is not None:
-            if any(x < 0 or x.denominator != 1 for x in a):
-                return Fraction(0)
-            a = [x.numerator for x in a]
-            return Fraction(factorial(r) // prod(map(factorial, a))
-                            * prod(c ** x for c, x in zip(support.values(), a)))
+        a = [x.numerator for x in a]
+        return Fraction(factorial(r) // prod(map(factorial, a))
+                        * prod(c ** x for c, x in zip(support.values(), a)))
     powers, denom, pack = _half_powers(f, (r + 1) // 2, t)
     return Fraction(_pair(powers[(r + 1) // 2], powers[r // 2], pack(t)), denom ** r)
 

@@ -16,7 +16,7 @@ PARENT = [10.0, 12.0, 11.0, 13.0, 9.0, 14.0, 10.0, 12.0, 11.0, 15.0]
 
 
 def test_quartiles_and_medians():
-    s = summarize(PARENT, [x + 1 for x in PARENT], "higher")
+    s = summarize(PARENT, [x + 1 for x in PARENT], "higher", 0.25)
     # sorted parent: 9 10 10 11 11 12 12 13 14 15
     assert s["parent_median"] == 11.5
     assert (s["parent_q1"], s["parent_q3"]) == (10.25, 12.75)
@@ -29,10 +29,10 @@ def test_direction_ties_and_spread():
     change = [x - 4 for x in PARENT]
     change[0] = PARENT[0]                   # a tie counts for neither side
     change[1] = PARENT[1] + 1               # one pair lost
-    lower = summarize(PARENT, change, "lower")
+    lower = summarize(PARENT, change, "lower", 0.25)
     assert lower["won"] == 8
     assert lower["exceeds_spread"]          # 11.5 -> 8.5 beyond 2.5
-    higher = summarize(PARENT, change, "higher")
+    higher = summarize(PARENT, change, "higher", 0.25)
     assert higher["won"] == 1
     assert higher["exceeds_spread"]         # the gap counts either way; `won` says which
 
@@ -44,5 +44,22 @@ def test_wrong_argument_count_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("better", ["lower", "higher"])
 def test_equal_runs_win_nothing(better):
-    s = summarize(PARENT, list(PARENT), better)
+    s = summarize(PARENT, list(PARENT), better, 0.25)
     assert s["won"] == 0 and not s["exceeds_spread"]
+
+
+# PARENT: median 11.5, quartiles [10.25, 12.75], so a spread of 2.5; a bound
+# of 0.25 allows 2.875 (the spread is inside it), one of 0.1 allows 1.15.
+@pytest.mark.parametrize("better, shift, bound, verdict", [
+    ("higher", -2, 0.25, "within bound"),    # worse by 2.0 <= 2.875
+    ("lower", 2, 0.25, "within bound"),
+    ("higher", 1, 0.25, "within bound"),     # better
+    ("higher", -3, 0.25, "regressed"),       # worse by 3.0 > 2.875
+    ("lower", 3, 0.25, "regressed"),
+    ("higher", -3, 0.1, "unresolved"),       # spread 2.5 > 1.15 and no clean sweep
+    ("higher", 1, 0.1, "unresolved"),        # better in the median, still unresolved
+    ("higher", 10, 0.1, "within bound"),     # every change run beats every parent run
+    ("lower", -10, 0.1, "within bound"),
+])
+def test_verdict_against_the_bound(better, shift, bound, verdict):
+    assert summarize(PARENT, [x + shift for x in PARENT], better, bound)["verdict"] == verdict

@@ -190,6 +190,30 @@ MALFORMED = [
                             "--reference", "cases/p2_reference.json"], 2, ["-K"]),
     ("period-K-negative", ["period", *EXPR, "-K", "-1"], 2, ["-K"]),
     ("compare-K-negative", ["compare", *EXPR, "--expr2", "x + 2/x", "-K", "-2"], 2, ["-K"]),
+    # c_0..c_K would not fit in a list: once an OverflowError traceback
+    ("period-K-beyond-list", ["period", *EXPR, "-K", str(2 ** 63)],
+     2, [f"-K must be at most {sys.maxsize}, got {2 ** 63}"]),
+    ("compare-K-beyond-list", ["compare", *EXPR2, "--expr2", "z1 + z2 + 1/(z1*z2)",
+                               "-K", str(10 ** 30)], 2, ["-K must be at most"]),
+    # variable names: the NAME of the expression grammar, none twice
+    ("period-vars-not-a-name", ["period", "--vars", "x,y z", "--expr", "y", "-K", "2"],
+     2, ["bad value for --vars", "'y z' is not a variable name"]),
+    ("period-spec-vars-duplicate", ["period", "--spec", {"expr": "x", "vars": ["x", "x"]},
+                                    "-K", "2"], 2, ["'vars'", "duplicate variable name 'x'"]),
+    ("quotient-new-vars-duplicate", ["quotient", "--spec", "cases/f2_upstairs.json",
+                                     "--weights", "1,1", "-r", "2", "--new-vars", "u,u"],
+     2, ["bad value for --new-vars", "duplicate variable name 'u'"]),
+    ("quotient-new-vars-not-a-name", ["quotient", "--spec", "cases/f2_upstairs.json",
+                                      "--weights", "1,1", "-r", "2", "--new-vars", "u,v w"],
+     2, ["bad value for --new-vars", "'v w' is not a variable name"]),
+    ("tangency-vars-duplicate", ["tangency", "--spec", dict(TANGENCY, vars=["z1", "z1"])],
+     2, ["'vars'", "duplicate variable name 'z1'"]),
+    ("cover-vars-not-a-name", ["cover", "--spec", dict(COVER, vars=["1x"])],
+     2, ["cover spec", "'vars'", "'1x' is not a variable name"]),
+    ("cover-quotient-vars-not-a-name", ["cover", "--spec", dict(COVER, quotient_vars=["u-1"])],
+     2, ["cover spec", "'quotient_vars'", "'u-1' is not a variable name"]),
+    ("sub-vars-not-a-name", ["mutate", *EXPR, "--sub", {"vars": ["x^2"], "images": ["x"]}],
+     2, ["substitution", "'vars'", "'x^2' is not a variable name"]),
     ("tangency-r-float", ["tangency", "--spec", dict(TANGENCY, r=3.9, boundary=[1.5, 2.7])],
      2, ["'r'", "expected an integer, got 3.9"]),
     ("tangency-boundary-float", ["tangency", "--spec", dict(TANGENCY, boundary=[1.5, 2.7])],

@@ -316,6 +316,16 @@ def test_cover_connected():
     assert cover_connected([1, 1, 0], 2)
     assert not cover_connected([0, 0], 3)
     assert not cover_connected([2, 4], 2)
+    assert not cover_connected([], 2)
+
+
+def test_cover_degree_below_two_is_rejected_with_one_message():
+    with pytest.raises(ValueError, match="cover degree must be at least 2"):
+        riemann_hurwitz_lift(1, 1, 1)
+    with pytest.raises(ValueError, match="cover degree must be at least 2"):
+        cover_connected([1], 1)
+    with pytest.raises(ValueError, match="cover degree must be at least 2"):
+        CoverSpec(p2_potential(), DivisorFunctional((0, 0), 1), 0, DescendantConstant(0, 0))
 
 
 # ---------------------------------------------------------------------------

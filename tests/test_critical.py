@@ -246,21 +246,22 @@ def test_hypersurface_family_closed_form(n, d):
 # the conifold point: an exact anchor for the solver
 # ---------------------------------------------------------------------------
 
-def conifold_value_from_periods(f, up_to):
-    """T from the exact period sequence.  For f with positive coefficients and
-    0 inside its Newton polytope, Laplace's method on c_k = (2 pi)^-n int f^k
-    gives c_k ~ A T^k k^(-n/2) on the k where c_k is nonzero, T the value of
-    f's one critical point x_c in the positive orthant.  Fit log c_k +
-    (n/2) log k = k log T + a_0 + a_1/k + ... + a_4/k^4 over the last six
-    nonzero c_k."""
+def conifold_fit(f, up_to):
+    """(T, A, m) from the exact period sequence.  For f with positive
+    coefficients and 0 inside its Newton polytope, Laplace's method on
+    c_k = (2 pi)^-n int f^k gives c_k ~ A T^k k^(-n/2) on the multiples of m,
+    the k where c_k is nonzero, with T the value of f's one critical point x_c
+    in the positive orthant.  Fit log c_k + (n/2) log k = k log T + a_0 +
+    a_1/k + ... + a_4/k^4 over the last six nonzero c_k; A = e^(a_0)."""
     import numpy as np
 
     coeffs = period_sequence(f, up_to).coeffs
-    ks = [k for k, c in enumerate(coeffs) if k and c][-6:]
+    nonzero = [k for k, c in enumerate(coeffs) if k and c]
+    ks = nonzero[-6:]
     rows = [[k] + [k ** -j for j in range(5)] for k in ks]
     rhs = [math.log(coeffs[k]) + f.rank / 2 * math.log(k) for k in ks]
-    log_t = np.linalg.lstsq(np.array(rows, dtype=float), np.array(rhs), rcond=None)[0][0]
-    return math.exp(log_t)
+    log_t, a_0 = np.linalg.lstsq(np.array(rows, dtype=float), np.array(rhs), rcond=None)[0][:2]
+    return math.exp(log_t), math.exp(a_0), math.gcd(*nonzero)
 
 
 @pytest.mark.parametrize("f, up_to", [
@@ -275,13 +276,35 @@ def conifold_value_from_periods(f, up_to):
     (fano_hypersurface_quotient(4, 3), 20),
 ], ids=["P2", "P3", "quadric", "X2_1", "X2_2", "X3_1", "X3_2", "X3_3", "X4_3"])
 def test_crit_finds_the_conifold_point_the_periods_predict(f, up_to):
-    # the exact layer checks the numerical one on a point known independently
-    conifold = conifold_value_from_periods(f, up_to)
-    points = critical_points(f, SolverOptions(starts=200, seed=0)).points
-    positive = [p.value for p in points
-                if all(z.real > 0 and abs(z.imag) <= 1e-9 * z.real for z in p.coords)]
-    assert positive, "no critical point in the positive orthant"
-    assert min(abs(v - conifold) for v in positive) <= 1e-6 * conifold
+    # The exact layer checks the numerical one on a point known independently:
+    # its value T, and the log-Hessian there through the prefactor
+    # A = m T^(n/2) / ((2 pi)^(n/2) sqrt(det H)).  A unimodular chart changes
+    # neither the periods nor the critical values, nor det H.
+    n = f.rank
+    for chart in [None] + [oracles.random_unimodular(random.Random(s), n) for s in range(4)]:
+        g = f if chart is None else f.monomial_substitute(chart)
+        conifold, prefactor, m = conifold_fit(g, up_to)
+        points = critical_points(g, SolverOptions(starts=200, seed=0)).points
+        positive = [p for p in points
+                    if all(z.real > 0 and abs(z.imag) <= 1e-9 * z.real for z in p.coords)]
+        assert positive, f"no critical point in the positive orthant (chart {chart})"
+        p = min(positive, key=lambda p: abs(p.value - conifold))
+        assert abs(p.value - conifold) <= 1e-6 * conifold, f"chart {chart}"
+        det = p.log_hessian_det
+        assert abs(det.imag) <= 1e-9 * det.real
+        assert prefactor == pytest.approx(
+            m * conifold ** (n / 2) / ((2 * math.pi) ** (n / 2) * math.sqrt(det.real)), rel=1e-3)
+
+
+def test_critical_values_merge_equal_values():
+    # x + 1/x + y + 1/y has critical points (+-1, +-1), with values -4, 0, 0, 4
+    f = parse_poly("x + 1/x + y + 1/y", ["x", "y"])
+    search = critical_points(f, SolverOptions(starts=200, seed=0))
+    assert len(search.points) == 4
+    values = critical_values(f, search=search).values
+    assert [(round(v.real, 9), round(v.imag, 9), count) for v, count in values] == [
+        (-4, 0, 1), (0, 0, 2), (4, 0, 1)]
+    assert critical_values(f, SolverOptions(starts=200, seed=0)).values == values
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from lgforge import (
     LaurentPoly,
     RankMismatchError,
     ZeroCoordinateError,
+    ZeroDenominatorError,
     divide_exact,
     parse_poly,
 )
+from lgforge.laurent import _tidy
 
 import oracles
 
@@ -35,6 +37,8 @@ def test_zero_coefficients_are_dropped():
 def test_colliding_keys_are_summed():
     f = LaurentPoly(1, {(2,): 3}) + LaurentPoly(1, {(2,): -3})
     assert f.is_zero()
+    g = poly("x - 2*y + 3") + poly("-x + 2*y + 1")
+    assert g.terms == {(0, 0): 4} and 0 not in g.terms.values()
 
 
 def test_equality_is_structural_and_ignores_names():
@@ -79,7 +83,26 @@ def test_scale():
     f = poly("x + y + 1/(x*y)")
     assert f.scale(2) == poly("2*x + 2*y + 2/(x*y)")
     assert f * 2 == f.scale(2)
-    assert f.scale(0).is_zero()
+    for zero in (0, Fraction(0)):
+        assert f.scale(zero).terms == {} and f.scale(zero).varnames == f.varnames
+
+
+def test_product_term_that_cancels_and_reappears():
+    # (1 + x + x^2)(x - 1 + 2/x): the x term cancels to 0 after two of its
+    # products and comes back with the third; the x^2 term cancels for good
+    a = {(0,): Fraction(1), (1,): Fraction(1), (2,): Fraction(1)}
+    b = {(1,): Fraction(1), (0,): Fraction(-1), (-1,): Fraction(2)}
+    f = LaurentPoly(1, a) * LaurentPoly(1, b)
+    assert f.terms == oracles.dict_mul(a, b) == {(3,): 1, (1,): 2, (0,): 1, (-1,): 2}
+    assert 0 not in f.terms.values()
+    g = LaurentPoly(1, b) * LaurentPoly(1, a)
+    assert g == f and 0 not in g.terms.values()
+
+
+def test_tidy_rejects_a_zero_denominator():
+    one = LaurentPoly.constant(2, 1)
+    with pytest.raises(ZeroDenominatorError, match="denominator is the zero polynomial"):
+        _tidy(one, LaurentPoly.zero(2))
 
 
 def test_rank_mismatch_raises():
@@ -170,6 +193,17 @@ def test_hirzebruch_coordinates():
 def test_rank_collapse_sums_collisions():
     f = poly("x + y")
     assert f.monomial_substitute([[1, 1]], varnames=("t",)) == parse_poly("2*t", ["t"])
+
+
+def test_colliding_images_that_cancel():
+    t = ("t",)
+    # x, -y and x^2/y all land on t: the sum cancels after two and comes back
+    f = poly("x - y + x^2/y")
+    g = f.monomial_substitute([[1, 1]], varnames=t)
+    assert g == parse_poly("t", ["t"]) and 0 not in g.terms.values()
+    assert poly("x - y").monomial_substitute([[1, 1]], varnames=t).is_zero()
+    h = poly("3*x - 3*y + 2*x*y").monomial_substitute([[1, 1], [1, 1]])
+    assert h.terms == {(2, 2): 2} and 0 not in h.terms.values()
 
 
 def test_substitution_composes():

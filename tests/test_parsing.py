@@ -16,6 +16,8 @@ from lgforge import (
     parse_poly,
 )
 
+from lgforge.parsing import check_names, spec_names
+
 import oracles
 
 
@@ -91,6 +93,32 @@ def test_literal_zero_denominator():
 def test_duplicate_varnames_rejected():
     with pytest.raises(ValueError):
         parse("x", ["x", "x"])
+
+
+@pytest.mark.parametrize("names, message", [
+    (["x", "x"], "duplicate variable name 'x'"),
+    (["x", "y z"], "'y z' is not a variable name"),
+    (["x", ""], "'' is not a variable name"),
+    (["1x"], "'1x' is not a variable name"),
+    (["x_", "x-"], "'x-' is not a variable name"),
+    (["é"], "'é' is not a variable name"),
+])
+def test_variable_names_are_names_of_the_grammar(names, message):
+    with pytest.raises(ValueError, match=message):
+        check_names(names)
+    with pytest.raises(ValueError, match=message):
+        spec_names()(names)
+    with pytest.raises(ValueError, match=message):
+        parse("1", names)
+
+
+def test_valid_variable_names_pass_unchanged():
+    names = ["x", "Y2", "z_1", "a_B_3"]
+    check_names(names)
+    assert spec_names(4)(names) == names
+    assert parse_poly("x*Y2 + z_1/a_B_3", names).render() == "x*Y2 + z_1*a_B_3^-1"
+    with pytest.raises(ValueError, match="expected 3 values"):
+        spec_names(3)(names)
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,7 @@ def test_power_coefficient_errors():
 # ---------------------------------------------------------------------------
 
 def takes_closed_form(f) -> bool:
-    exps = list(f.terms)
-    return len(exps) <= f.rank + 1 and _simplex_solve(exps, 1, (0,) * f.rank) is not None
+    return _simplex_solve(list(f.terms), 1, (0,) * f.rank) is not None
 
 
 def check_against_oracle(f, up_to, targets=()):
@@ -186,9 +185,22 @@ def test_closed_form_special_supports(text, names, up_to):
     check_against_oracle(f, up_to, [(up_to + 4,) * f.rank, (-up_to - 9,) + (0,) * (f.rank - 1)])
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_zero_polynomial(rank):
+    zero = LaurentPoly.zero(rank)
+    assert list(period_sequence(zero, 6).coeffs) == [
+        oracles.constant_term_of_power({}, k, rank) for k in range(7)] == [1] + [0] * 6
+    for r in range(4):
+        power = oracles.dict_pow({}, r, rank)
+        for t in [(0,) * rank, (1,) * rank, (-r,) + (0,) * (rank - 1)]:
+            assert power_coefficient(zero, r, t) == power.get(t, 0)
+    assert power_coefficient(zero, 0, (0,) * rank) == 1
+
+
 def test_dependent_support_takes_the_kernel():
     f = parse_poly("x + 1/x + 3", ["x", "y"])   # three collinear exponents, T = n + 1
     assert _simplex_solve(list(f.terms), 1, (0, 0)) is None
+    assert _simplex_solve([(1, 0), (0, 1), (-1, -1), (1, 1)], 1, (0, 0)) is None  # T > n + 1
     check_against_oracle(f, 7, [(1, 0), (0, 1), (9, 0)])
 
 
