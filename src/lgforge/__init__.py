@@ -26,15 +26,13 @@ _EXPORTS = {
               "tangency_number"),
     "critical": ("CriticalPoint", "CriticalSearch", "CriticalValueSet", "SolverOptions",
                  "critical_points", "critical_values", "log_gradient"),
-    "errors": ("CharacterSolveError", "DiscLedgerError", "EmptyPolynomialError",
-               "ExprSyntaxError", "FloatRangeError", "InvalidFunctionalError",
-               "InvarianceError", "LGForgeError", "MultiplicityError", "NotInSublatticeError",
-               "NotLaurentError", "RankMismatchError", "ReferenceFormatError",
-               "SequenceRangeError", "UnknownVariableError", "ZeroCoordinateError",
-               "ZeroDenominatorError"),
-    "lattice": ("CharacterAction", "SNFDecomposition", "Sublattice", "hermite_column_basis",
-                "invariant_sublattice", "rewrite_in_sublattice", "smith_normal_form",
-                "solve_character"),
+    "errors": ("CharacterSolveError", "DiscLedgerError", "ExprSyntaxError",
+               "FloatRangeError", "InvalidFunctionalError", "InvarianceError", "LGForgeError",
+               "MultiplicityError", "NotInSublatticeError", "NotLaurentError",
+               "RankMismatchError", "ReferenceFormatError", "SequenceRangeError",
+               "UnknownVariableError", "ZeroCoordinateError", "ZeroDenominatorError"),
+    "lattice": ("CharacterAction", "Sublattice", "hermite_column_basis", "invariant_sublattice",
+                "rewrite_in_sublattice", "solve_character"),
     "laurent": ("Exponent", "LaurentPoly", "RationalExpr", "divide_exact", "laurent_normalize"),
     "mutation": ("PeriodCompareReport", "Substitution", "apply_substitution",
                  "check_period_invariance", "identity_substitution", "substitution_from_dict"),

@@ -227,8 +227,10 @@ def _cmd_quotient(args):
         except ValueError as exc:
             raise ValueError(f"bad value for --basis: {exc}") from None
         raw["basis"] = args.basis
-    new_vars = (_csv_flag(args.new_vars, "--new-vars", spec_names(len(varnames)))
-                if args.new_vars else None)
+    new_vars = None
+    if args.new_vars:
+        new_vars = _csv_flag(args.new_vars, "--new-vars", spec_names(len(varnames)))
+        raw["new_vars"] = new_vars
     g = lattice.rewrite_in_sublattice(f, sublattice, varnames=new_vars)
     result = {
         "basis_columns": [list(c) for c in sublattice.columns],
@@ -381,7 +383,7 @@ def _cmd_check_weak_lg(args):
         raise ValueError(f"--k-min must lie in 0..{up_to} (the -K bound), got {args.k_min}")
     reference = ingest_reference(args.reference)
     raw.update({"reference": [_frac_json(c) for c in reference.coeffs],
-                "K": up_to, "k_min": args.k_min})
+                "reference_name": reference.name, "K": up_to, "k_min": args.k_min})
     f = parse_poly(expr, varnames)
     report = is_weak_lg(f, reference, up_to, k_min=args.k_min)
     result = {
@@ -488,20 +490,6 @@ def _cmd_ledger(args):
     return result, lines, data
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "period": _cmd_period,
-    "cover": _cmd_cover,
-    "quotient": _cmd_quotient,
-    "crit": _cmd_crit,
-    "mutate": _cmd_mutate,
-    "tangency": _cmd_tangency,
-    "compare": _cmd_compare,
-    "check-weak-lg": _cmd_check_weak_lg,
-    "ledger": _cmd_ledger,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgforge",
@@ -509,7 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"lgforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_help="JSON file with {\"expr\": ..., \"vars\": [...]}", expr=True):
+    def common(p, handler, spec_help="JSON file with {\"expr\": ..., \"vars\": [...]}",
+               expr=True):
+        p.set_defaults(handler=handler)
         if expr:
             p.add_argument("--expr", help="expression text ('-' reads stdin)")
             p.add_argument("--vars", help="comma-separated variable names")
@@ -518,35 +508,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report here instead of stdout")
 
     p = sub.add_parser("eval", help="evaluate a potential at a torus point")
-    common(p)
+    common(p, _cmd_eval)
     p.add_argument("--point", required=True, help="comma-separated complex coordinates")
 
     p = sub.add_parser("period", help="constant terms of powers")
-    common(p)
+    common(p, _cmd_period)
     p.add_argument("-K", "--max-power", type=int, required=True)
 
     p = sub.add_parser("cover", help="run one cyclic cover step from a spec file")
-    common(p, spec_help="cover spec JSON (potential, vars, functional, r, descendant)",
-           expr=False)
+    common(p, _cmd_cover,
+           spec_help="cover spec JSON (potential, vars, functional, r, descendant)", expr=False)
 
     p = sub.add_parser("quotient", help="rewrite a potential on an invariant sublattice")
-    common(p)
+    common(p, _cmd_quotient)
     p.add_argument("--weights", required=True, help="character weights, comma-separated")
     p.add_argument("-r", "--modulus", type=int, required=True)
     p.add_argument("--basis", help="explicit basis columns, ';'-separated: 'a,b;c,d'")
     p.add_argument("--new-vars", help="names for the quotient coordinates")
 
     p = sub.add_parser("crit", help="numerical critical points and values")
-    common(p)
+    common(p, _cmd_crit)
     p.add_argument("--seed", type=int, default=0, help="seed of the random Newton starts")
     p.add_argument("--starts", type=int, default=200)
 
     p = sub.add_parser("mutate", help="apply a birational substitution")
-    common(p)
+    common(p, _cmd_mutate)
     p.add_argument("--sub", required=True, help="substitution JSON file")
 
     p = sub.add_parser("tangency", help="tangency count from power coefficients")
-    common(p, spec_help="tangency spec JSON")
+    common(p, _cmd_tangency, spec_help="tangency spec JSON")
     p.add_argument("-r", "--degree", type=int)
     p.add_argument("--boundary", help="boundary class, comma-separated")
     p.add_argument("--multiplicities", help="divisor multiplicities (snc mode)")
@@ -554,18 +544,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smooth", action="store_true", help="smooth-divisor mode")
 
     p = sub.add_parser("compare", help="compare period sequences of two potentials")
-    common(p)
+    common(p, _cmd_compare)
     p.add_argument("--expr2", required=True)
     p.add_argument("-K", "--max-power", type=int, required=True)
 
     p = sub.add_parser("check-weak-lg", help="check a potential against a reference period")
-    common(p)
+    common(p, _cmd_check_weak_lg)
     p.add_argument("--reference", required=True, help="CSV or JSON reference file")
     p.add_argument("-K", "--max-power", type=int, required=True)
     p.add_argument("--k-min", type=int, default=2)
 
     p = sub.add_parser("ledger", help="disc-class checks from a JSON file")
-    common(p, spec_help="ledger JSON (classes + checks)", expr=False)
+    common(p, _cmd_ledger, spec_help="ledger JSON (classes + checks)", expr=False)
 
     return parser
 
@@ -588,9 +578,8 @@ def _emit(command: str, result: dict, lines: list[str], raw_inputs: dict, args) 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        result, lines, raw_inputs = handler(args)
+        result, lines, raw_inputs = args.handler(args)
         _emit(args.command, result, lines, raw_inputs, args)
     except _USAGE_ERRORS as exc:
         print(f"lgforge: {exc}", file=sys.stderr)

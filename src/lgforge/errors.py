@@ -13,10 +13,6 @@ class ZeroCoordinateError(LGForgeError):
     """Evaluation point has a zero coordinate (the torus excludes the axes)."""
 
 
-class EmptyPolynomialError(LGForgeError):
-    """Operation requires a nonzero polynomial (e.g. a Newton polytope)."""
-
-
 class NotLaurentError(LGForgeError):
     """A quotient of polynomials is not a Laurent polynomial."""
 

@@ -1,11 +1,10 @@
-"""Integer matrix normal forms and finite-index sublattices of Z^n.
+"""Hermite forms and finite-index sublattices of Z^n.
 
 Everything here is exact and runs on Python integers, and one elimination,
 the row Hermite form, serves every routine: invariant sublattices,
 deck-character feasibility, basis equality and sublattice indices read it
-directly; sublattice coordinates and unimodular inverses come from the
-Hermite form of [A | I], which carries the transform; the Smith form
-alternates it on rows and columns.  The geometric purpose is rewriting
+directly; sublattice coordinates come from the Hermite form of [A | I],
+which carries the transform.  The geometric purpose is rewriting
 deck-invariant Laurent polynomials in a basis of the invariant sublattice of
 a cyclic character action (the quotient-torus coordinate change).
 """
@@ -38,10 +37,6 @@ def transpose(a: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def _freeze(a: Sequence[Sequence[int]]) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in a)
-
-
-def _mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -98,65 +93,6 @@ def hermite_column_basis(columns: Sequence[Sequence[int]]) -> Matrix:
     """Canonical basis (as matrix columns) of the lattice spanned by ``columns``."""
     reduced = _hnf_rows([list(c) for c in columns])
     return _freeze(transpose(reduced))
-
-
-def unimodular_inverse(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The integer inverse of a square matrix; a ValueError unless |det a| = 1."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise RankMismatchError("inverse of a non-square matrix")
-    h, t = _hnf_transform(a, n)
-    if h != identity(n):
-        raise ValueError("matrix is not unimodular")
-    return t
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-@record
-class SNFDecomposition:
-    """A = U * D * V with U, V unimodular and D diagonal, d1 | d2 | ..."""
-
-    U: Matrix
-    D: Matrix
-    V: Matrix
-
-
-def smith_normal_form(a: Sequence[Sequence[int]]) -> SNFDecomposition:
-    """Smith normal form A = U D V of any rectangular integer matrix.
-
-    Row Hermite forms alternate with Hermite forms of the transpose until D
-    is diagonal (Kannan-Bachem).  Where d_i does not divide a later d_j,
-    column j is added to column i, and the next row pass puts gcd(d_i, d_j)
-    in its place.  The transforms accumulate into unimodular L and R with
-    L A R = D, so U and V are their inverses.  D is unique; U and V are one
-    valid choice.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
-        raise RankMismatchError("Smith form of a matrix with rows of unequal length")
-    d = [list(map(int, row)) for row in a]
-    left, right = identity(m), identity(n)
-    while m and n:
-        d, t = _hnf_transform(d, n)
-        left = _mul(t, left)
-        d_t, t = _hnf_transform(transpose(d), m)
-        d, right = transpose(d_t), _mul(right, transpose(t))
-        if any(d[i][j] for i in range(m) for j in range(n) if i != j):
-            continue
-        k = min(m, n)
-        stain = next(((i, j) for i in range(k) for j in range(i + 1, k)
-                      if gcd(d[i][i], d[j][j]) != d[i][i]), None)
-        if stain is None:
-            break
-        i, j = stain
-        for row in d + right:
-            row[i] += row[j]
-    return SNFDecomposition(_freeze(unimodular_inverse(left)), _freeze(d),
-                            _freeze(unimodular_inverse(right)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from typing import Mapping, Sequence
 
 from ._record import record
 from .errors import (
-    EmptyPolynomialError,
     FloatRangeError,
     NotLaurentError,
     RankMismatchError,
@@ -269,16 +268,6 @@ class LaurentPoly:
             raise FloatRangeError(f"the value at {pt} is outside the float range")
         return total
 
-    # ---------------------------------------------------------- Newton polytope
-
-    def newton_polytope(self) -> list[Exponent]:
-        """Vertices of the convex hull of the support, sorted lexicographically."""
-        if not self._terms:
-            raise EmptyPolynomialError("the zero polynomial has no Newton polytope")
-        pts = list(self._terms)
-        verts = [p for p in pts if not _in_convex_hull(p, [q for q in pts if q != p])]
-        return sorted(verts)
-
     # ---------------------------------------------------------------- display
 
     def render(self) -> str:
@@ -312,66 +301,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()!r}, vars={list(self.varnames)})"
-
-
-# ---------------------------------------------------------------------------
-# Exact convex-hull membership (phase-1 simplex over the rationals).
-# ---------------------------------------------------------------------------
-
-def _in_convex_hull(p: Exponent, pts: list[Exponent]) -> bool:
-    """Decide exactly whether ``p`` is a convex combination of ``pts``.
-
-    Feasibility of {lam >= 0, sum lam = 1, sum lam_i pts_i = p} is tested with
-    a phase-1 simplex using Bland's rule, entirely in rational arithmetic.
-    """
-    if not pts:
-        return False
-    n = len(p)
-    k = len(pts)
-    m = n + 1
-    rows = [[Fraction(pt[i]) for pt in pts] for i in range(n)]
-    rows.append([Fraction(1)] * k)
-    rhs = [Fraction(x) for x in p] + [Fraction(1)]
-    for r in range(m):
-        if rhs[r] < 0:
-            rows[r] = [-x for x in rows[r]]
-            rhs[r] = -rhs[r]
-    # columns 0..k-1 are the lambdas, k..k+m-1 the artificials
-    tab = [rows[r] + [Fraction(1) if j == r else Fraction(0) for j in range(m)] + [rhs[r]]
-           for r in range(m)]
-    basis = [k + r for r in range(m)]
-    width = k + m
-    while True:
-        in_basis_cost = [1 if b >= k else 0 for b in basis]
-        entering = -1
-        for j in range(width):
-            cost_j = (1 if j >= k else 0) - sum(
-                in_basis_cost[r] * tab[r][j] for r in range(m))
-            if cost_j < 0:
-                entering = j
-                break
-        if entering < 0:
-            break
-        leaving = -1
-        best = None
-        for r in range(m):
-            if tab[r][entering] > 0:
-                ratio = tab[r][width] / tab[r][entering]
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
-                    best = ratio
-                    leaving = r
-        if leaving < 0:
-            # unbounded phase-1 cannot happen, but fail closed
-            return False
-        piv = tab[leaving][entering]
-        tab[leaving] = [x / piv for x in tab[leaving]]
-        for r in range(m):
-            if r != leaving and tab[r][entering] != 0:
-                f = tab[r][entering]
-                tab[r] = [a - f * b for a, b in zip(tab[r], tab[leaving])]
-        basis[leaving] = entering
-    objective = sum(tab[r][width] for r in range(m) if basis[r] >= k)
-    return objective == 0
 
 
 # ---------------------------------------------------------------------------

@@ -77,34 +77,6 @@ def p1xp1_constant_term(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# planar convex hull (Andrew's monotone chain, integer arithmetic)
-# ---------------------------------------------------------------------------
-
-def hull_vertices_2d(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    pts = sorted(set(points))
-    if len(pts) <= 1:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    verts = lower[:-1] + upper[:-1]
-    if not verts:  # all points collinear: extremes are the hull
-        verts = [pts[0], pts[-1]]
-    return sorted(set(verts))
-
-
-# ---------------------------------------------------------------------------
 # random generators
 # ---------------------------------------------------------------------------
 

@@ -181,6 +181,35 @@ def test_tangency_flag_mode_hash_is_pinned(capsys):
         "b43f9a975e0a8ba24b2885e81763971ec0078409e146aaec2da3e7d3bfe2a4b1")
 
 
+def input_hash(argv, capsys) -> str:
+    rc, out = run_cli(resolve(argv) + ["--format", "json"], capsys)
+    assert rc == 0
+    return json.loads(out)["provenance"]["input_sha256"]
+
+
+QUOTIENT_F2 = ["quotient", "--spec", "cases/f2_upstairs.json", "--weights", "1,1", "-r", "2",
+               "--basis=-1,-1;2,0"]
+
+
+def test_quotient_hash_covers_the_new_variable_names(capsys):
+    uv = input_hash(QUOTIENT_F2 + ["--new-vars", "u,v"], capsys)
+    vu = input_hash(QUOTIENT_F2 + ["--new-vars", "v,u"], capsys)
+    plain = input_hash(QUOTIENT_F2, capsys)
+    assert len({uv, vu, plain}) == 3
+    # without --new-vars the hashed inputs, and so the hash, are as before
+    assert plain == "e9177f2e64bea7d0b6da468dadcf736a3bee42816540ac314ebdb8a03a445bc6"
+
+
+def test_weak_lg_hash_covers_the_reference_name(tmp_path, capsys):
+    renamed = tmp_path / "renamed.json"
+    renamed.write_text(json.dumps(
+        dict(json.loads((ROOT / "cases" / "p2_reference.json").read_text()), name="renamed")))
+    argv = ["check-weak-lg", "--expr", "x+y+1/(x*y)", "--vars", "x,y", "-K", "9",
+            "--k-min", "1", "--reference"]
+    assert (input_hash(argv + ["cases/p2_reference.json"], capsys)
+            != input_hash(argv + [str(renamed)], capsys))
+
+
 def test_ledger_check_off_values_skip_the_check(tmp_path, capsys):
     spec = tmp_path / "ledger.json"
     spec.write_text(json.dumps({
@@ -426,13 +455,13 @@ API = {
              "split_potential tangency_number",
     "critical": "CriticalPoint CriticalSearch CriticalValueSet SolverOptions critical_points "
                 "critical_values log_gradient",
-    "errors": "CharacterSolveError DiscLedgerError EmptyPolynomialError ExprSyntaxError "
-              "FloatRangeError InvalidFunctionalError InvarianceError LGForgeError "
-              "MultiplicityError NotInSublatticeError NotLaurentError RankMismatchError "
-              "ReferenceFormatError SequenceRangeError UnknownVariableError "
-              "ZeroCoordinateError ZeroDenominatorError",
-    "lattice": "CharacterAction SNFDecomposition Sublattice hermite_column_basis "
-               "invariant_sublattice rewrite_in_sublattice smith_normal_form solve_character",
+    "errors": "CharacterSolveError DiscLedgerError ExprSyntaxError FloatRangeError "
+              "InvalidFunctionalError InvarianceError LGForgeError MultiplicityError "
+              "NotInSublatticeError NotLaurentError RankMismatchError ReferenceFormatError "
+              "SequenceRangeError UnknownVariableError ZeroCoordinateError "
+              "ZeroDenominatorError",
+    "lattice": "CharacterAction Sublattice hermite_column_basis invariant_sublattice "
+               "rewrite_in_sublattice solve_character",
     "laurent": "Exponent LaurentPoly RationalExpr divide_exact laurent_normalize",
     "mutation": "PeriodCompareReport Substitution apply_substitution check_period_invariance "
                 "identity_substitution substitution_from_dict",
@@ -476,7 +505,7 @@ def test_package_api_and_the_tracer_layers():
     assert proc.returncode == 0, proc.stderr.decode()
     seen = json.loads(proc.stdout)
     names = sorted(name for names in API.values() for name in names.split())
-    assert len(names) == 69
+    assert len(names) == 66
     assert seen["package_ran"] == ["__init__"]
     assert seen["unloaded"] == []
     assert seen["star"] == names

@@ -26,8 +26,6 @@ from lgforge import (
     split_potential,
     tangency_number,
 )
-from lgforge.lattice import unimodular_inverse
-
 import oracles
 
 P2_VARS = ["z1", "z2"]
@@ -174,7 +172,8 @@ def test_cover_pipeline_transported_by_unimodular_maps(seed):
     # torus; the deck character moves accordingly and quotient periods agree
     rng = random.Random(seed)
     a = oracles.random_unimodular(rng, 2)
-    a_inv = unimodular_inverse(a)
+    det = oracles.mat_det(a)  # +-1, so the inverse is det times the adjugate
+    a_inv = [[det * a[1][1], -det * a[0][1]], [-det * a[1][0], det * a[0][0]]]
     base = stage1_spec()
     f2 = base.potential.monomial_substitute(a)
     # functional transforms by the inverse transpose, so degrees are preserved

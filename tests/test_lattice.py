@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -9,115 +11,15 @@ from lgforge import (
     CharacterSolveError,
     LaurentPoly,
     NotInSublatticeError,
-    RankMismatchError,
     Sublattice,
     invariant_sublattice,
     parse_poly,
     rewrite_in_sublattice,
-    smith_normal_form,
     solve_character,
 )
-from lgforge.lattice import hermite_column_basis, unimodular_inverse
+from lgforge.lattice import hermite_column_basis
 
 import oracles
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-def assert_valid_snf(a):
-    snf = smith_normal_form(a)
-    u, d, v = [list(map(list, m)) for m in (snf.U, snf.D, snf.V)]
-    assert oracles.mat_mul(oracles.mat_mul(u, d), v) == [list(r) for r in a]
-    assert abs(oracles.mat_det(u)) == 1
-    assert abs(oracles.mat_det(v)) == 1
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    for i in range(len(d)):
-        for j in range(len(d[0])):
-            if i != j:
-                assert d[i][j] == 0
-    for a_, b_ in zip(diag, diag[1:]):
-        assert a_ >= 0 and b_ >= 0
-        if a_ == 0:
-            assert b_ == 0
-        else:
-            assert b_ % a_ == 0
-    return diag
-
-
-def test_snf_identity():
-    snf = smith_normal_form([[1, 0], [0, 1]])
-    assert snf.U == snf.D == snf.V == ((1, 0), (0, 1))
-
-
-def test_snf_diag_2_3():
-    assert assert_valid_snf([[2, 0], [0, 3]]) == [1, 6]
-
-
-def test_snf_unimodular_input():
-    assert assert_valid_snf([[2, 1], [1, 1]]) == [1, 1]
-
-
-def test_snf_singular():
-    assert assert_valid_snf([[2, 4], [1, 2]]) == [1, 0]
-
-
-def test_snf_zero_matrix():
-    assert assert_valid_snf([[0, 0], [0, 0]]) == [0, 0]
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
-def test_snf_random(seed, n):
-    rng = random.Random(seed)
-    a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-    assert_valid_snf(a)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 4), st.integers(0, 4))
-def test_snf_rectangular(seed, m, n, rank):
-    # an m x k times k x n product has rank at most k, so k < min(m, n)
-    # gives rank-deficient inputs
-    rng = random.Random(seed)
-    k = min(rank, m, n)
-    x = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
-    y = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-    a = oracles.mat_mul(x, y) if k else [[0] * n for _ in range(m)]
-    diag = assert_valid_snf(a)
-    assert sum(1 for v in diag if v) <= k
-
-
-@pytest.mark.parametrize("a", [[[1, 2], [3]], [[1], [2, 3]]], ids=["short-row", "long-row"])
-def test_snf_rejects_ragged_rows(a):
-    with pytest.raises(RankMismatchError):
-        smith_normal_form(a)
-
-
-# ---------------------------------------------------------------------------
-# unimodular inverses
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
-def test_unimodular_inverse(seed, n):
-    a = oracles.random_unimodular(random.Random(seed), n)
-    assert oracles.mat_mul(unimodular_inverse(a), a) == [
-        [1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-@pytest.mark.parametrize("a", [[[1, 2], [2, 4]], [[1, 2], [3, 4]], [[2]]],
-                         ids=["singular", "det-2", "scalar-2"])
-def test_unimodular_inverse_rejects_non_unimodular(a):
-    with pytest.raises(ValueError):
-        unimodular_inverse(a)
-
-
-@pytest.mark.parametrize("a", [[[1, 2]], [[1, 2], [3]]], ids=["wide", "ragged"])
-def test_unimodular_inverse_rejects_non_square(a):
-    with pytest.raises(RankMismatchError):
-        unimodular_inverse(a)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +170,48 @@ def test_hermite_basis_is_deterministic_for_equivalent_generators():
     a = hermite_column_basis([(2, 0), (1, 1)])
     b = hermite_column_basis([(1, 1), (-1, 1), (3, 1)])
     assert a == b  # both generate {e1 + e2 even}
+
+
+def _minors(rows, k):
+    """Every k x k minor of ``rows``, by oracles.mat_det."""
+    return [oracles.mat_det([[rows[i][j] for j in cols] for i in picked])
+            for picked in itertools.combinations(range(len(rows)), k)
+            for cols in itertools.combinations(range(len(rows[0])), k)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 6), st.integers(0, 4))
+def test_hermite_column_basis_on_random_generators(seed, n, m, rank):
+    # m generators in Z^n as the rows of an m x k times k x n product, so
+    # k < n gives rank-deficient inputs
+    rng = random.Random(seed)
+    k = min(rank, n)
+    x = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+    y = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+    gens = oracles.mat_mul(x, y) if k else [[0] * n for _ in range(m)]
+    basis = hermite_column_basis(gens)
+    h = [list(col) for col in zip(*basis)]  # the Hermite rows
+    # echelon form: pivots move right, are positive, and reduce what is above them
+    pivots = [next(j for j, v in enumerate(row) if v) for row in h]
+    assert pivots == sorted(set(pivots))
+    for i, (row, p) in enumerate(zip(h, pivots)):
+        assert row[p] > 0
+        assert all(0 <= above[p] < row[p] for above in h[:i])
+    # every generator is an integer combination of the rows
+    for g in gens:
+        c = oracles.fraction_solve([[row[p] for row in h] for p in pivots], [g[p] for p in pivots])
+        assert all(v.denominator == 1 for v in c)
+        assert [sum(ci * row[j] for ci, row in zip(c, h)) for j in range(n)] == g
+    # the rows span no more than the generators: same rank, same gcd of the
+    # top minors (equal to the product of the pivots at full rank)
+    r = max((j for j in range(1, min(m, n) + 1) if any(_minors(gens, j))), default=0)
+    assert len(h) == r
+    if r:
+        assert math.gcd(*_minors(gens, r)) == math.gcd(*_minors(h, r))
+    if r == n:
+        assert math.prod(row[p] for row, p in zip(h, pivots)) == math.gcd(*_minors(gens, n))
+    rng.shuffle(gens)
+    assert hermite_column_basis(gens) == basis
 
 
 def test_solve_character_examples():

@@ -3,11 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgforge import (
-    EmptyPolynomialError,
     FloatRangeError,
     LaurentPoly,
     RankMismatchError,
@@ -267,51 +266,6 @@ def test_evaluate_is_multiplicative_on_unit_torus(seed):
     lhs = (f * g).evaluate(point)
     rhs = f.evaluate(point) * g.evaluate(point)
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
-
-
-# ---------------------------------------------------------------------------
-# Newton polytope
-# ---------------------------------------------------------------------------
-
-def test_polytope_triangle():
-    assert poly("x + y + 1/(x*y)").newton_polytope() == [(-1, -1), (0, 1), (1, 0)]
-
-
-def test_polytope_drops_midpoint():
-    assert (poly("x + y") ** 2).newton_polytope() == [(0, 2), (2, 0)]
-
-
-def test_polytope_of_constant():
-    assert poly("5").newton_polytope() == [(0, 0)]
-
-
-def test_polytope_of_zero_raises():
-    with pytest.raises(EmptyPolynomialError):
-        LaurentPoly.zero(2).newton_polytope()
-
-
-def test_polytope_rank_one():
-    f = parse_poly("x^3 + x + 1/x^2", ["x"])
-    assert f.newton_polytope() == [(-2,), (3,)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-@example(83894)  # two cancelling terms: f is zero
-def test_polytope_matches_monotone_chain(seed):
-    rng = random.Random(seed)
-    f = LaurentPoly(2, oracles.random_poly_terms(rng, 2, rng.randint(1, 9)))
-    if f.is_zero():  # the drawn terms can cancel
-        with pytest.raises(EmptyPolynomialError):
-            f.newton_polytope()
-    else:
-        assert f.newton_polytope() == oracles.hull_vertices_2d(f.support())
-
-
-def test_polytope_rank_three():
-    f = parse_poly("x + y + z + 1/(x*y*z) + 1", ["x", "y", "z"])
-    # the constant sits inside the simplex spanned by the other four
-    assert f.newton_polytope() == [(-1, -1, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 # ---------------------------------------------------------------------------

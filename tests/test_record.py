@@ -32,7 +32,6 @@ from lgforge import (
     parse,
     parse_poly,
     periods,
-    smith_normal_form,
 )
 from lgforge.mutation import PeriodCompareRow
 from lgforge.periods import WeakLGRow
@@ -56,7 +55,6 @@ def samples() -> dict:
     disc = DiscClass(1, [1, 0], [0, 1], 1)
     maslov_row = cover.MaslovRow(disc, 1, True)
     point = critical.CriticalPoint((1 + 2j, 0.5 - 1j), 3 + 0j, -2 + 1j, True, 1e-13)
-    snf = smith_normal_form([[2, 4], [6, 8]])
     expr = parse("(1+x)/(1+y)", ["x", "y"])
     return {
         "DivisorFunctional": ([1, 0], 2),
@@ -72,7 +70,6 @@ def samples() -> dict:
         "CriticalPoint": ((1 + 2j, 0.5 - 1j), 3 + 0j, -2 + 1j, True, 1e-13),
         "CriticalSearch": ((point,), False),
         "CriticalValueSet": (((3 + 0j, 2),), False),
-        "SNFDecomposition": (snf.U, snf.D, snf.V),
         "CharacterAction": ((3, -1), 2),
         "Sublattice": (2, ((1, 0), (1, 2)), 2),
         "Substitution": (identity_substitution(["x", "y"]).images,),
@@ -107,7 +104,7 @@ def fields(cls) -> tuple:
 
 
 def test_every_record_class_has_a_sample():
-    assert len(RECORDS) == 23
+    assert len(RECORDS) == 22
     assert sorted(RECORDS) == sorted(SAMPLES)
 
 
