@@ -23,6 +23,11 @@ share of the parent's median by which the change may be worse:
 Quartiles interpolate linearly between order statistics
 (``statistics.quantiles(..., method="inclusive")``).
 
+After the summary it prints, for each job kind in the report line (the line
+before the result), each side's median over its runs of the kind's median
+latency (``latency_p50_ms_by_kind``), so a saving can be placed; no verdict
+rests on these.
+
 Exits 1 as soon as a run fails, reports an incorrect result or a failed
 operation, and 0 otherwise, whatever the numbers say.
 """
@@ -68,19 +73,29 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
-def run_side(checkout: Path, workload: str, seed: int) -> dict[str, float]:
+def kind_median(by_kind_runs: list[dict[str, float]], kind: str) -> str:
+    """The median of ``kind`` over the runs that timed it, or "n/a" if none did."""
+    values = [r[kind] for r in by_kind_runs if kind in r]
+    return f"{statistics.median(values):.4g}" if values else "n/a"
+
+
+def run_side(checkout: Path, workload: str, seed: int
+             ) -> tuple[dict[str, float], dict[str, float]]:
+    """One run's end-to-end metrics and its median latency per job kind, in ms."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    result = json.loads(lines[-1]) if proc.returncode == 0 and len(lines) >= 2 else None
     if result is None or not result["correct"] or result["failed"]:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"bench_pairs: {checkout} seed {seed}: "
                          + ("run failed" if result is None else
                             f"correct={result['correct']}, failed={result['failed']}"))
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    report = json.loads(lines[-2])["report"]
+    return ({name: m["value"] for name, m in result["metrics"].items()},
+            report["latency_p50_ms_by_kind"])
 
 
 def main(argv: list[str]) -> int:
@@ -91,12 +106,15 @@ def main(argv: list[str]) -> int:
     first_seed = int(argv[3])
     metrics = json.loads((parent_dir / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"parent": [], "change": []}
+    kinds = {"parent": [], "change": []}
     for i in range(PAIRS):
         seed = first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_side(parent_dir if side == "parent" else change_dir,
-                                       workload, seed))
+            metrics_run, by_kind = run_side(parent_dir if side == "parent" else change_dir,
+                                            workload, seed)
+            runs[side].append(metrics_run)
+            kinds[side].append(by_kind)
         parent, change = runs["parent"][-1], runs["change"][-1]
         print(f"pair {i + 1} seed {seed} ({order[0]} first): " + "; ".join(
             f"{m['name']} {parent[m['name']]:.4g} -> {change[m['name']]:.4g}" for m in metrics),
@@ -111,6 +129,10 @@ def main(argv: list[str]) -> int:
               f"won {s['won']}/{s['pairs']}, gap beyond the parent's spread: "
               f"{'yes' if s['exceeds_spread'] else 'no'}; {s['verdict']} "
               f"(bound {m['bound']:.0%})")
+    print("  median latency per job kind (ms), median over runs:")
+    for kind in sorted({k for r in kinds["parent"] + kinds["change"] for k in r}):
+        parent, change = (kind_median(kinds[side], kind) for side in ("parent", "change"))
+        print(f"    {kind}: parent {parent}, change {change}")
     return 0
 
 

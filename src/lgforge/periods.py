@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import factorial, lcm, prod
+from functools import reduce
+from math import comb, factorial, lcm, prod
+from operator import or_
 from pathlib import Path
 from typing import Callable, Literal, Sequence
 
@@ -58,13 +60,21 @@ class DescendantConstant:
         object.__setattr__(self, "value", Fraction(self.value))
 
 
-def _half_powers(f: LaurentPoly, h: int, pad: Sequence[int]
-                 ) -> tuple[list[dict[int, int]], int, Callable[[Sequence[int]], int]]:
-    """Powers g**0..g**h of the integral form g = D*f != 0, on packed exponent keys.
+def _integral(f: LaurentPoly) -> tuple[dict[tuple[int, ...], int], int]:
+    """``(g, D)`` with g = D*f integral, as an exponent -> int dict; D is the lcm of
+    f's denominators."""
+    terms = f.terms
+    denom = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (denom // c.denominator) for e, c in terms.items()}, denom
 
-    Returns ``(powers, D, pack)``.  ``pack`` sends an exponent vector e to
+
+def _half_powers(g: dict[tuple[int, ...], int], h: int, pad: Sequence[int]
+                 ) -> tuple[list[dict[int, int]], Callable[[Sequence[int]], int]]:
+    """Powers g**0..g**h of an integral g != 0, on packed exponent keys.
+
+    Returns ``(powers, pack)``.  ``pack`` sends an exponent vector e to
     sum(e_i * R_i) with R_0 = 1 and R_(i+1) = R_i * (2*B_i + 1), where
-    B_i = h * max|e_i| over the support of f, plus |pad_i|.  The map is linear
+    B_i = h * max|e_i| over the support of g, plus |pad_i|.  The map is linear
     and injective on the box |e_i| <= B_i.  That box holds every exponent a
     of g**0..g**h, and pad - a too, so sums, negations and differences of
     exponents become sums, negations and differences of int keys.
@@ -76,20 +86,17 @@ def _half_powers(f: LaurentPoly, h: int, pad: Sequence[int]
     because building g**(h+1) would cost |g| * |g**h| updates, more than
     the |g**(K-h)| pairing lookups it saves.
     """
-    terms = f.terms
-    denom = lcm(*(c.denominator for c in terms.values()))
     radices = []
     radix = 1
     for i, extra in enumerate(pad):
         radices.append(radix)
-        bound = h * max((abs(e[i]) for e in terms), default=0) + abs(extra)
+        bound = h * max(abs(e[i]) for e in g) + abs(extra)
         radix *= 2 * bound + 1
 
     def pack(e: Sequence[int]) -> int:
         return sum(x * r for x, r in zip(e, radices))
 
-    (k0, c0), *rest = [(pack(e), c.numerator * (denom // c.denominator))
-                       for e, c in terms.items()]
+    (k0, c0), *rest = [(pack(e), c) for e, c in g.items()]
     powers = [{0: 1}]
     for _ in range(h):
         prev = powers[-1]
@@ -102,7 +109,7 @@ def _half_powers(f: LaurentPoly, h: int, pad: Sequence[int]
         if 0 in out.values():
             out = {k: c for k, c in out.items() if c}
         powers.append(out)
-    return powers, denom, pack
+    return powers, pack
 
 
 def _pair(hi: dict[int, int], lo: dict[int, int], target: int) -> int:
@@ -142,49 +149,146 @@ def _simplex_solve(exps: list[tuple[int, ...]], r: int, t: Sequence[int]
     return [Fraction(row[-1], row[i]) for i, row in enumerate(rows[:len(exps)])]
 
 
-def period_sequence(f: LaurentPoly, up_to: int) -> PeriodSequence:
-    """Constant terms of f**k for k = 0..up_to, exactly.
+def _fold(a: list[int], b: list[int]) -> list[int]:
+    """c_k(A + B) = sum_j C(k, j) * c_j(A) * c_(k-j)(B) when A and B share no
+    variable, from a[j] = c_j(A) and b[j] = c_j(B); only nonzero entries are visited."""
+    size = len(a)
+    out = [0] * size
+    nonzero = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nonzero:
+                k = i + j
+                if k >= size:
+                    break
+                out[k] += comb(k, j) * x * y
+    return out
 
-    Closed form when the support of f is affinely independent (at most
-    n + 1 terms, none an affine combination of the others), as for the
-    mirrors of projective and weighted projective spaces: each c_k is then
-    one multinomial term.  With λ the barycentric coordinates of the origin
-    over the support, c_k = 0 for k >= 1 if the origin is off the support's
-    affine span or some λ_i < 0; otherwise c_k is nonzero only at k = jm,
-    m the lcm of λ's denominators and ℓ = mλ, where
-    c_jm = (jm)!/prod (jℓ_i)! * prod c_i**(jℓ_i).
 
-    Every other f takes the kernel: write f = g/D with g integral and build
-    g**0..g**h for h = ceil(up_to/2) on packed int exponent keys (see
-    ``_half_powers``).  For k <= h, c_0(g**k) is read off g**k itself; for
-    h < k <= up_to it is sum_a g**(k-h)[a] * g**h[-a], iterating the smaller
-    g**(k-h).  Then c_k = c_0(g**k) / D**k.  h is the cheapest split: one
-    more power costs more dict updates than the pairing lookups it would save.
+def _blocks(g: dict[tuple[int, ...], int], rank: int) -> list[dict[tuple[int, ...], int]]:
+    """g's terms in groups that share no variable; the constant term is a group
+    of its own.  Each variable's terms form a mask (one byte per term), and
+    overlapping masks are merged, so each merged mask is one group."""
+    parts: list[int] = []
+    for column in zip(*g):
+        mask = int.from_bytes(bytes(map(bool, column)), "big")
+        if mask:
+            joined = [p for p in parts if p & mask]
+            parts = [p for p in parts if not p & mask] + [reduce(or_, joined, mask)]
+    origin = (0,) * rank
+    if len(parts) + (origin in g) < 2:
+        return [g]
+    items = list(g.items())
+    blocks = [{e: c for (e, c), used in zip(items, p.to_bytes(len(items), "big")) if used}
+              for p in parts]
+    return blocks + [{origin: g[origin]}] if origin in g else blocks
+
+
+def _product_split(g: dict[tuple[int, ...], int], rank: int
+                   ) -> tuple[int, int, dict[tuple[int, ...], int], dict[tuple[int, ...], int]] | None:
+    """``(q, c, A, B)`` with q*g = c + A*B, A in one variable x_i and B free of
+    it, or None.
+
+    Seen as a matrix M[a][b], a the x_i-exponent and b the other exponents,
+    g must fill the grid of its a's times its b's, all but the origin cell, and
+    M off the origin must have rank one.  With a pivot q = M[a0][b0], a0 != 0
+    and b0 != 0, A = sum_a M[a][b0] x_i**a and B = sum_b M[a0][b] x**b use no
+    origin cell, and A*B = q*g + A_0*B_0 because g has no constant term (the
+    sum rule took it), so c = -A_0*B_0.
     """
-    if up_to < 0:
-        raise ValueError("up_to must be nonnegative")
-    terms = f.terms
-    lam = _simplex_solve(list(terms), 1, (0,) * f.rank)
+    zero = (0,) * rank
+    for i, column in enumerate(zip(*g)):
+        xs = set(column)
+        # On a grid every nonzero a occurs equally often: a cheap first test.
+        if len({column.count(a) for a in xs if a}) != 1:
+            continue
+        cells = {(e[i], e[:i] + (0,) + e[i + 1:]): c for e, c in g.items()}
+        rest = {b for _, b in cells}
+        b0 = next((b for b in rest if b != zero), None)
+        if b0 is None or len(xs) * len(rest) != len(g) + (0 in xs and zero in rest):
+            continue
+        a0 = next(a for a in xs if a)
+        q = cells[a0, b0]
+        if any(c * q != cells[a, b0] * cells[a0, b] for (a, b), c in cells.items()):
+            continue
+        a_part = {zero[:i] + (a,) + zero[i + 1:]: cells[a, b0] for a in xs}
+        b_part = {b: cells[a0, b] for b in rest}
+        return q, -cells.get((0, b0), 0) * cells.get((a0, zero), 0), a_part, b_part
+    return None
+
+
+def _power_constants(g: dict[tuple[int, ...], int], rank: int, up_to: int) -> list[int]:
+    """c_0(g**k) for k = 0..up_to of an integral g (exponent -> nonzero int);
+    the four steps are those of ``period_sequence``."""
+    blocks = _blocks(g, rank)
+    if len(blocks) > 1:
+        return reduce(_fold, (_power_constants(b, rank, up_to) for b in blocks))
+    lam = _simplex_solve(list(g), 1, (0,) * rank)
     if lam is not None:
-        coeffs = [Fraction(1)] + [Fraction(0)] * up_to
+        out = [1] + [0] * up_to
         if lam is not False and min(lam) >= 0:
             m = lcm(*(x.denominator for x in lam))
             ell = [x.numerator * (m // x.denominator) for x in lam]
-            weight = prod(c ** l for c, l in zip(terms.values(), ell))
-            multinomial, power = 1, Fraction(1)
+            weight = prod(c ** l for c, l in zip(g.values(), ell))
+            multinomial = power = 1
             for j in range(1, up_to // m + 1):  # (jm)!/prod (jℓ_i)! from its value at j - 1
                 multinomial = multinomial * prod(range((j - 1) * m + 1, j * m + 1)) // prod(
                     prod(range((j - 1) * l + 1, j * l + 1)) for l in ell)
                 power *= weight
-                coeffs[j * m] = multinomial * power
-        return PeriodSequence("computed", tuple(coeffs), "computed")
+                out[j * m] = multinomial * power
+        return out
+    split = _product_split(g, rank)
+    if split is not None:
+        q, c, a_part, b_part = split
+        products = [x * y for x, y in zip(_power_constants(a_part, rank, up_to),
+                                          _power_constants(b_part, rank, up_to))]
+        return [v // q ** k for k, v in enumerate(_fold([c ** k for k in range(up_to + 1)],
+                                                        products))]
     h = (up_to + 1) // 2
-    powers, denom, _ = _half_powers(f, h, (0,) * f.rank)
-    constants = [p.get(0, 0) for p in powers]
-    constants += [_pair(powers[h], powers[k - h], 0) for k in range(h + 1, up_to + 1)]
+    powers, _ = _half_powers(g, h, (0,) * rank)
+    out = [p.get(0, 0) for p in powers]
+    return out + [_pair(powers[h], powers[k - h], 0) for k in range(h + 1, up_to + 1)]
+
+
+def period_sequence(f: LaurentPoly, up_to: int) -> PeriodSequence:
+    """Constant terms of f**k for k = 0..up_to, exactly.
+
+    Write f = g/D with g integral; then c_k = c_0(g**k) / D**k, and c_0(g**k)
+    comes from the first of four steps that applies, each step recursing on
+    smaller integral potentials:
+
+    1. Sum rule.  When g's terms fall into blocks that share no variable (the
+       constant term is a block of its own), c_k(A + B) =
+       sum_j C(k, j) c_j(A) c_(k-j)(B), folded over the blocks.  This is the
+       product formula for periods: the period of a product of Fano varieties
+       is the product of their periods (Coates, Corti, Galkin, Golyshev and
+       Kasprzyk, "Mirror symmetry and Fano manifolds", 2013), as for the
+       P^1 x P^1 mirror x + 1/x + y + 1/y.
+    2. Closed form, when the support of g is affinely independent (at most
+       n + 1 terms, none an affine combination of the others), as for the
+       mirrors of projective and weighted projective spaces.  With λ the
+       barycentric coordinates of the origin over the support, c_k = 0 for
+       k >= 1 if the origin is off the support's affine span or some λ_i < 0;
+       otherwise c_k is nonzero only at k = jm, m the lcm of λ's denominators
+       and ℓ = mλ, where c_jm = (jm)!/prod (jℓ_i)! * W**j with the integer
+       W = prod g_i**ℓ_i.
+    3. Product rule, when q*g = c + A(x_i)*B(other variables) for some
+       variable x_i, as for the dP4 mirror (1+x)^2(1+y)^2/(xy) - 4 (see
+       ``_product_split``): since A and B share no variable,
+       c_0((q*g)**k) = sum_j C(k, j) c**(k-j) c_j(A) c_j(B), which q**k
+       divides exactly.
+    4. Kernel: build g**0..g**h for h = ceil(up_to/2) on packed int exponent
+       keys (see ``_half_powers``).  For k <= h, c_0(g**k) is read off g**k
+       itself; for h < k <= up_to it is sum_a g**(k-h)[a] * g**h[-a],
+       iterating the smaller g**(k-h).  h is the cheapest split: one more
+       power costs more dict updates than the pairing lookups it would save.
+    """
+    if up_to < 0:
+        raise ValueError("up_to must be nonnegative")
+    g, denom = _integral(f)
     coeffs = []
     scale = 1
-    for c in constants:
+    for c in _power_constants(g, f.rank, up_to):
         coeffs.append(Fraction(c, scale))
         scale *= denom
     return PeriodSequence("computed", tuple(coeffs), "computed")
@@ -219,7 +323,8 @@ def power_coefficient(f: LaurentPoly, r: int, t: Sequence[int]) -> Fraction:
         a = [x.numerator for x in a]
         return Fraction(factorial(r) // prod(map(factorial, a))
                         * prod(c ** x for c, x in zip(support.values(), a)))
-    powers, denom, pack = _half_powers(f, (r + 1) // 2, t)
+    g, denom = _integral(f)
+    powers, pack = _half_powers(g, (r + 1) // 2, t)
     return Fraction(_pair(powers[(r + 1) // 2], powers[r // 2], pack(t)), denom ** r)
 
 

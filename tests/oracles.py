@@ -76,6 +76,12 @@ def p1xp1_constant_term(k: int) -> int:
                for j in range(k // 2 + 1))
 
 
+def dp4_constant_term(k: int) -> int:
+    """c_0(((1+x)^2 (1+y)^2/(xy) - 4)^k): (1+x)^2/x = x + 2 + 1/x has constant
+    terms C(2j, j), so the product has C(2j, j)^2, and -4 enters binomially."""
+    return sum(comb(k, j) * (-4) ** (k - j) * comb(2 * j, j) ** 2 for j in range(k + 1))
+
+
 # ---------------------------------------------------------------------------
 # random generators
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""The summary rule of ``scripts/bench_pairs.py``, on canned numbers; no
-benchmark runs here."""
+"""The summary rule and the output of ``scripts/bench_pairs.py``, on canned
+numbers and stub runs; no benchmark runs here."""
 
 import importlib.util
+import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
@@ -63,3 +67,49 @@ def test_equal_runs_win_nothing(better):
 ])
 def test_verdict_against_the_bound(better, shift, bound, verdict):
     assert summarize(PARENT, [x + shift for x in PARENT], better, bound)["verdict"] == verdict
+
+
+def stub_run(args, cwd, capture_output, text):
+    """A benchmark run's last two lines: the report line, then the result line.
+    The parent's runs take twice the change's time; seed s adds s ms."""
+    seed = int(args[args.index("--seed") + 1])
+    slow = 2.0 if Path(cwd).name == "parent" else 1.0
+    by_kind = {"period/P2": slow + seed, "period/dP4": 3 * slow + seed}
+    if Path(cwd).name == "parent" and seed == 3:
+        by_kind["period/extra"] = 7.0            # a kind timed on one side only
+    report = {"report": {"latency_p50_ms_by_kind": by_kind}}
+    metrics = {name: {"value": slow + seed, "unit": "ms"}
+               for name in ("setup_s", "jobs_per_s", "latency_p50_ms", "latency_tail_ms",
+                            "peak_rss_mb")}
+    result = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+    return subprocess.CompletedProcess(args, 0, json.dumps(report) + "\n" + json.dumps(result)
+                                       + "\n", "")
+
+
+def test_per_kind_medians_are_printed_after_the_summary(tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "parent")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", stub_run)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "periods-deep", "0"]) == 0
+    out = capsys.readouterr().out
+    summary, kinds = out.split("median latency per job kind (ms), median over runs:\n")
+    assert "latency_p50_ms (ms, lower is better)" in summary
+    # seeds 0..9 add 0..9 ms, so the median over runs adds 4.5
+    assert kinds.splitlines() == [
+        "    period/P2: parent 6.5, change 5.5",
+        "    period/dP4: parent 10.5, change 7.5",
+        "    period/extra: parent 7, change n/a",
+    ]
+
+
+def test_a_run_without_a_report_line_fails(tmp_path, monkeypatch):
+    def result_only(args, cwd, capture_output, text):
+        proc = stub_run(args, cwd, capture_output, text)
+        proc.stdout = proc.stdout.splitlines()[-1] + "\n"
+        return proc
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", result_only)
+    with pytest.raises(SystemExit, match="run failed"):
+        bench_pairs.run_side(tmp_path, "periods-deep", 0)

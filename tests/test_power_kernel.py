@@ -1,22 +1,28 @@
-"""The exact power kernel behind period sequences and tangency numbers, and
-the closed form that replaces it on an affinely independent support.
+"""The exact power kernel behind period sequences and tangency numbers, the
+closed form that replaces it on an affinely independent support, and the sum
+and product rules that split a potential before either.
 
 Every check compares against naive powering, in ``LaurentPoly`` or in
 ``oracles.dict_pow``, which keep Fraction coefficients and tuple exponents and
 so share nothing with the kernel's integer coefficients and packed exponent
-keys, nor with the closed form's linear solve.
+keys, nor with the closed form's linear solve, nor with the splitting rules.
 """
 
 import random
 from fractions import Fraction
+from math import comb, prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lgforge.periods
 from lgforge import (LaurentPoly, RankMismatchError, parse_poly, period_sequence,
                      power_coefficient)
 from lgforge.periods import _simplex_solve
+from lgforge.potentials import (del_pezzo_bl5, fano_hypersurface_quotient, hirzebruch_f2,
+                                product_of_lines, projective_space)
 
 import oracles
 
@@ -222,3 +228,140 @@ def test_weighted_projective_periods():
     assert takes_closed_form(f)
     assert list(period_sequence(f, 30).coeffs) == [
         oracles.weighted_projective_period((1, 1, 2), k) for k in range(31)]
+
+
+# ---------------------------------------------------------------------------
+# the sum and product rules
+# ---------------------------------------------------------------------------
+
+RESCALE_FACTORS = (Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(3, 2),
+                   Fraction(2, 3), Fraction(-3))
+
+
+def in_random_chart(draw, terms, n):
+    """``terms`` under a signed permutation of the variables, then a rescaling
+    x_i -> a_i x_i; neither changes a constant term of a power."""
+    order = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    factors = draw(st.lists(st.sampled_from(RESCALE_FACTORS), min_size=n, max_size=n))
+    out = {}
+    for e, c in terms.items():
+        moved = tuple(s * e[j] for s, j in zip(signs, order))
+        out[moved] = c * prod(a ** x for a, x in zip(factors, moved))
+    return out
+
+
+def one_variable_terms(draw, n, i, min_size=1, max_size=3):
+    """A random polynomial in x_i alone, as rank-n exponent tuples."""
+    exps = draw(st.lists(st.integers(-2, 2), min_size=min_size, max_size=max_size, unique=True))
+    return {tuple(x if j == i else 0 for j in range(n)): draw(coefficients) for x in exps}
+
+
+def terms_in(draw, n, variables, max_size=3):
+    """A random polynomial in ``variables``, with no constant term."""
+    exps = st.tuples(*[st.integers(-2, 2) if j in variables else st.just(0) for j in range(n)])
+    keys = draw(st.lists(exps.filter(any), min_size=1, max_size=max_size, unique=True))
+    return {e: draw(coefficients) for e in keys}
+
+
+@st.composite
+def disjoint_sums(draw):
+    """A sum of two or three potentials over disjoint sets of variables, plus a
+    constant half the time."""
+    n = draw(st.integers(2, 4))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=2)))
+    terms: dict = {}
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        terms.update(terms_in(draw, n, range(lo, hi)))
+    if draw(st.booleans()):
+        terms[(0,) * n] = draw(coefficients)
+    return n, in_random_chart(draw, terms, n)
+
+
+@st.composite
+def products(draw):
+    """A(x_0) * B(x_1..x_(n-1)), whose own constant term is kept, cancelled (as
+    in the dP4 mirror, where it is nonzero) or moved by a random constant."""
+    n = draw(st.integers(2, 3))
+    origin = (0,) * n
+    constant = draw(st.sampled_from(("kept", "cancelled", "moved")))
+    a = one_variable_terms(draw, n, 0)
+    b = terms_in(draw, n, range(1, n))
+    if constant == "cancelled" or draw(st.booleans()):
+        a.setdefault(origin, draw(coefficients))
+        b[origin] = draw(coefficients)
+    terms = oracles.dict_mul(a, b)
+    if constant == "cancelled":
+        terms.pop(origin, None)
+    elif constant == "moved":
+        terms[origin] = terms.get(origin, 0) + draw(coefficients)
+    return n, in_random_chart(draw, {e: c for e, c in terms.items() if c}, n)
+
+
+@st.composite
+def near_products(draw):
+    """A(x) * B(y), each with three terms, with one cell off the origin
+    perturbed or removed: no longer a product, and too many terms for the
+    closed form, so the kernel must serve it."""
+    a = one_variable_terms(draw, 2, 0, min_size=3)
+    b = one_variable_terms(draw, 2, 1, min_size=3)
+    terms = oracles.dict_mul(a, b)
+    cell = draw(st.sampled_from(sorted(e for e in terms if e != (0, 0))))
+    if draw(st.booleans()):
+        del terms[cell]
+    else:
+        terms[cell] += draw(st.integers(1, 3))
+    return 2, in_random_chart(draw, {e: c for e, c in terms.items() if c}, 2)
+
+
+def check_split(n, terms, up_to):
+    assert list(period_sequence(LaurentPoly(n, terms), up_to).coeffs) == [
+        oracles.constant_term_of_power(terms, k, n) for k in range(up_to + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(disjoint_sums(), st.integers(0, 6))
+def test_disjoint_sums_match_the_oracle(case, up_to):
+    check_split(*case, up_to)
+
+
+@settings(max_examples=60, deadline=None)
+@given(products(), st.integers(0, 6))
+def test_products_match_the_oracle(case, up_to):
+    check_split(*case, up_to)
+
+
+@settings(max_examples=30, deadline=None)
+@given(near_products(), st.integers(0, 6))
+def test_near_products_fall_through_to_the_kernel(case, up_to):
+    kernel = lgforge.periods._half_powers
+    with mock.patch.object(lgforge.periods, "_half_powers", wraps=kernel) as spy:
+        check_split(*case, up_to)
+    assert spy.called
+
+
+class ReachedKernel(Exception):
+    pass
+
+
+def no_kernel(*args):
+    raise ReachedKernel
+
+
+@pytest.mark.parametrize("f, expected", [
+    (product_of_lines(), oracles.p1xp1_constant_term),
+    (del_pezzo_bl5(), oracles.dp4_constant_term),
+    (projective_space(3), lambda k: oracles.weighted_projective_period((1, 1, 1, 1), k)),
+    (parse_poly("x + 2 + 1/x", ["x"]), lambda k: comb(2 * k, k)),   # (√x + 1/√x)^(2k)
+], ids=["P1xP1", "dP4", "P3", "x+2+1/x"])
+def test_split_potentials_never_reach_the_kernel(monkeypatch, f, expected):
+    monkeypatch.setattr(lgforge.periods, "_half_powers", no_kernel)
+    assert list(period_sequence(f, 40).coeffs) == [expected(k) for k in range(41)]
+
+
+@pytest.mark.parametrize("f", [hirzebruch_f2(), fano_hypersurface_quotient(3, 3)],
+                         ids=["F2", "X3_3"])
+def test_unsplit_potentials_reach_the_kernel(monkeypatch, f):
+    monkeypatch.setattr(lgforge.periods, "_half_powers", no_kernel)
+    with pytest.raises(ReachedKernel):
+        period_sequence(f, 4)
