@@ -220,7 +220,7 @@ def _cmd_quotient(args):
     f = parse_poly(expr, varnames)
     action = lattice.CharacterAction(tuple(weights), args.modulus)
     sublattice = lattice.invariant_sublattice(action)
-    if args.basis:
+    if args.basis is not None:
         columns = [_csv_flag(row, "--basis") for row in args.basis.split(";")]
         try:  # a ragged, dependent or wrong basis
             sublattice = sublattice.rebased(columns)
@@ -228,7 +228,7 @@ def _cmd_quotient(args):
             raise ValueError(f"bad value for --basis: {exc}") from None
         raw["basis"] = args.basis
     new_vars = None
-    if args.new_vars:
+    if args.new_vars is not None:
         new_vars = _csv_flag(args.new_vars, "--new-vars", spec_names(len(varnames)))
         raw["new_vars"] = new_vars
     g = lattice.rewrite_in_sublattice(f, sublattice, varnames=new_vars)
@@ -330,7 +330,7 @@ def _cmd_tangency(args):
                     boundary=_csv_flag(args.boundary, "--boundary",
                                        spec_list(int, len(data["vars"]))),
                     multiplicities=(_csv_flag(args.multiplicities, "--multiplicities")
-                                    if args.multiplicities else None),
+                                    if args.multiplicities is not None else None),
                     descendant=args.descendant, smooth=args.smooth)
         where = "command line"
     expr = spec_field(data, "potential" if args.spec else "expr", spec_str, where)

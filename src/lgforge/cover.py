@@ -181,14 +181,17 @@ def tangency_number(potential: LaurentPoly, r: int, boundary: Sequence[int], *,
 
         tau = (r_1! ... r_N! / r!) * (W**r [boundary] - [boundary == 0] * descendant)
 
-    Smooth mode takes the divisor part W^D instead and drops the multinomial
-    factor.  The descendant only enters for spherical classes (boundary = 0).
+    Smooth mode takes the divisor part W^D instead, and no multiplicities, so it
+    drops the multinomial factor.  The descendant only enters for spherical
+    classes (boundary = 0).
     """
     boundary = tuple(int(x) for x in boundary)
     if descendant is not None and descendant.r != r:
         raise ValueError(f"descendant degree {descendant.r} does not match r={r}")
     if r < 0:  # ahead of the multiplicity checks, so a bad r stays a ValueError
         raise ValueError(f"exponent must be a nonnegative integer, got {r!r}")
+    if smooth and multiplicities is not None:
+        raise ValueError("smooth mode takes no multiplicities")
     factor = Fraction(1)
     if not smooth:
         if multiplicities is None:

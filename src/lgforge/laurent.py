@@ -208,17 +208,6 @@ class LaurentPoly:
     def constant_term(self) -> Fraction:
         return self._terms.get((0,) * self.rank, Fraction(0))
 
-    def shift(self, e: Sequence[int]) -> "LaurentPoly":
-        """Multiply by the monomial x**e."""
-        off = tuple(e)
-        if len(off) != self.rank:
-            raise RankMismatchError(f"shift length {len(off)} for rank {self.rank}")
-        return LaurentPoly(
-            self.rank,
-            {tuple(a + b for a, b in zip(k, off)): c for k, c in self._terms.items()},
-            self.varnames,
-        )
-
     # ----------------------------------------------------------- substitution
 
     def monomial_substitute(self, matrix: Sequence[Sequence[int]],

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from .cover import CoverSpec, DivisorFunctional, build_cover_potential
 from .laurent import LaurentPoly
 from .parsing import parse_poly
+from .periods import DescendantConstant, power_coefficient
 
 
 def projective_space(n: int) -> LaurentPoly:
@@ -31,24 +35,24 @@ def del_pezzo_bl5() -> LaurentPoly:
 
 
 def fano_hypersurface_quotient(n: int, d: int) -> LaurentPoly:
-    """Quotient-torus potential of a degree-d hypersurface in P^(n+1), d <= n:
+    """Quotient-torus potential of a degree-d hypersurface in P^(n+1), 1 <= d <= n+1:
 
         x_0 + ... + x_{n-d} + (1 + y_1 + ... + y_{d-1})**d / (x_0...x_{n-d} y_1...y_{d-1})
+            - [d = n+1] * d!
 
-    At d = 1 this degenerates to the projective-space potential in n variables.
+    It is the d-fold cyclic cover of ``projective_space(n)`` branched along a divisor
+    meeting its last d monomials, with descendant c_d(P^n); at d = 1 it is P^n itself.
     """
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    xs = [f"x{i}" for i in range(n - d + 1)]
-    ys = [f"y{i}" for i in range(1, d)]
-    names = xs + ys
-    rank = len(names)
-    assert rank == n
-    base = LaurentPoly.constant(rank, 1, names)
-    for i in range(len(xs), rank):
-        base = base + LaurentPoly.variable(rank, i, names)
-    numer = base ** d
-    total = numer.shift([-1] * rank)  # divide by the product of all variables
-    for i in range(len(xs)):
-        total = total + LaurentPoly.variable(rank, i, names)
-    return total
+    if not 1 <= d <= n + 1:
+        raise ValueError(f"need 1 <= d <= n+1, got d={d}, n={n}")
+    k = n - d + 1  # coordinates off the branch divisor
+    names = [f"x{i}" for i in range(k)] + [f"y{i}" for i in range(1, d)]
+    base = projective_space(n)
+    if d == 1:
+        return LaurentPoly(n, base.terms, names)
+    c = Fraction(d, n + 1)
+    functional = DivisorFunctional([-c] * k + [1 - c] * (n - k), c)
+    descendant = DescendantConstant(d, power_coefficient(base, d, (0,) * n))
+    basis = [[int(i == j) + (j >= k) for i in range(n)] for j in range(n)]  # e_j, then 1 + e_j
+    return build_cover_potential(CoverSpec(base, functional, d, descendant), basis=basis,
+                                 quotient_varnames=names).quotient_potential

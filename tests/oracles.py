@@ -82,6 +82,39 @@ def dp4_constant_term(k: int) -> int:
     return sum(comb(k, j) * (-4) ** (k - j) * comb(2 * j, j) ** 2 for j in range(k + 1))
 
 
+def hypersurface_terms(n: int, d: int) -> dict:
+    """x_0 + ... + x_{n-d} + (1 + y_1 + ... + y_{d-1})^d / (x_0...x_{n-d} y_1...y_{d-1})
+    - [d = n+1] d!, the quotient potential of the degree-d hypersurface in P^(n+1)."""
+    k = n - d + 1
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    numer = dict_pow({(0,) * n: Fraction(1), **{unit[j]: Fraction(1) for j in range(k, n)}},
+                     d, n)
+    out = {tuple(x - 1 for x in e): c for e, c in numer.items()}
+    for j in range(k):
+        out[unit[j]] = Fraction(1)
+    if d == n + 1:
+        out[(0,) * n] = out.get((0,) * n, Fraction(0)) - factorial(d)
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def hypersurface_period(n: int, d: int, k: int) -> int:
+    """c_k of the degree-d hypersurface in P^(n+1), by Givental's mirror theorem.
+
+    Index e = n+2-d >= 2: c_{em} = (em)! (dm)! / (m!)^(n+2), and 0 off the
+    multiples of e.  Index 1 (d = n+1): the quantum period is
+    e^(-d! t) sum_m (dm)!/(m!)^(n+2) t^m, so c_k = sum_m C(k,m) (-d!)^(k-m)
+    (dm)!/(m!)^d, the multinomial coefficient of m copies of each of d parts.
+    """
+    e = n + 2 - d
+    if e == 1:
+        return sum(comb(k, m) * (-factorial(d)) ** (k - m) * factorial(d * m) // factorial(m) ** d
+                   for m in range(k + 1))
+    if k % e:
+        return 0
+    m = k // e
+    return factorial(e * m) * factorial(d * m) // factorial(m) ** (n + 2)
+
+
 # ---------------------------------------------------------------------------
 # random generators
 # ---------------------------------------------------------------------------

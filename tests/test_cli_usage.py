@@ -170,6 +170,18 @@ MALFORMED = [
      2, ["{tmp}/input6.json", "'vars'", "expected 1 values"]),
     ("quotient-weights-length", ["quotient", *EXPR2, "--weights", "1", "-r", "2"],
      2, ["--weights", "expected 2 values"]),
+    ("quotient-new-vars-empty", ["quotient", *EXPR2, "--weights", "0,0", "-r", "2",
+                                 "--new-vars", ""], 2, ["--new-vars", "expected 2 values"]),
+    ("quotient-basis-empty", ["quotient", *EXPR2, "--weights", "1,1", "-r", "2", "--basis", ""],
+     2, ["--basis", "independent columns"]),
+    ("tangency-smooth-multiplicities", ["tangency", *EXPR2, "-r", "3", "--boundary", "1,2",
+                                        "--smooth", "--multiplicities", "1,1"],
+     2, ["smooth mode takes no multiplicities"]),
+    ("tangency-smooth-multiplicities-empty", ["tangency", *EXPR2, "-r", "3", "--boundary", "1,2",
+                                              "--smooth", "--multiplicities", ""],
+     2, ["smooth mode takes no multiplicities"]),
+    ("tangency-spec-smooth-multiplicities", ["tangency", "--spec", dict(TANGENCY, smooth=True)],
+     2, ["smooth mode takes no multiplicities"]),
     ("quotient-new-vars-length", ["quotient", *EXPR2, "--weights", "0,0", "-r", "2",
                                   "--new-vars", "u"], 2, ["--new-vars", "expected 2 values"]),
     ("eval-point-length", ["eval", *EXPR2, "--point", "1"], 2, ["--point", "expected 2 values"]),

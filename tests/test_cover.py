@@ -26,6 +26,7 @@ from lgforge import (
     split_potential,
     tangency_number,
 )
+from lgforge.potentials import fano_hypersurface_quotient
 import oracles
 
 P2_VARS = ["z1", "z2"]
@@ -191,6 +192,32 @@ def test_cover_pipeline_transported_by_unimodular_maps(seed):
             == period_sequence(res1.quotient_potential, k).coeffs)
 
 
+# The index-1 hypersurfaces' c_0, c_1, ...: the cubic surface and the quartic threefold.
+INDEX_ONE_PERIODS = {
+    (2, 3): [1, 0, 54, 492, 9882, 158760, 2879640],
+    (3, 4): [1, 0, 1944, 215808, 35295192],
+}
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 6) for d in range(1, n + 2)])
+def test_hypersurface_family_against_the_oracles(n, d):
+    # The degree-d hypersurface in P^(n+1), index 1 (d = n+1) included, as the
+    # cover pipeline builds it.  The sextic fourfold stops at c_6: its c_7 alone
+    # takes seconds.
+    f = fano_hypersurface_quotient(n, d)
+    assert f.terms == oracles.hypersurface_terms(n, d)
+    assert f.varnames == tuple([f"x{i}" for i in range(n - d + 1)]
+                               + [f"y{i}" for i in range(1, d)])
+    up_to = 6 if (n, d) == (5, 6) else 10
+    coeffs = period_sequence(f, up_to).coeffs
+    assert list(coeffs) == [oracles.hypersurface_period(n, d, k) for k in range(up_to + 1)]
+    pinned = INDEX_ONE_PERIODS.get((n, d), [])
+    assert list(coeffs[:len(pinned)]) == pinned
+    for bad in (0, n + 2):
+        with pytest.raises(ValueError):
+            fano_hypersurface_quotient(n, bad)
+
+
 # ---------------------------------------------------------------------------
 # tangency numbers
 # ---------------------------------------------------------------------------
@@ -214,6 +241,13 @@ def test_tangency_spherical_class():
 def test_tangency_multiplicity_sum_checked():
     with pytest.raises(MultiplicityError):
         tangency_number(p2_potential(), 3, (1, 2), multiplicities=(1, 1, 2))
+
+
+@pytest.mark.parametrize("mults", [(5,), (1, 1), ()], ids=["one", "two", "none"])
+def test_tangency_smooth_mode_takes_no_multiplicities(mults):
+    with pytest.raises(ValueError, match="smooth mode takes no multiplicities"):
+        tangency_number(p2_potential(), 3, (0, 0), smooth=True, multiplicities=mults,
+                        descendant=DescendantConstant(3, Fraction(6)))
 
 
 @pytest.mark.parametrize("mults", [None, (1, -1, 3), (1, 1, 2)],

@@ -2,11 +2,14 @@
 
 Each script runs in a child process with the repository's ``src`` first on
 the path, and its whole stdout is compared.  ``hypersurface_critical_values.py``
-is left out: it prints floats from the Newton solver, whose last digits depend
-on the BLAS build.
+prints floats from the Newton solver, whose last digits depend on the BLAS
+build and on the order of the potential's terms.  So its closed-form errors
+are only bounded, and the sign of a zero printed to 9 decimals is dropped;
+the rest of its stdout is pinned.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,11 +65,58 @@ spherical class (zero boundary):         tau = 0
 }
 
 
-@pytest.mark.parametrize("script", sorted(EXPECTED))
-def test_script_stdout_is_pinned(script):
+HYPERSURFACE_VALUES = """\
+(n, d) = (2, 1):  x0 + x1 + x0^-1*x1^-1
+  value -1.500000000-2.598076211j  multiplicity 1
+  value -1.500000000+2.598076211j  multiplicity 1
+  value +3.000000000+0.000000000j  multiplicity 1
+  nondegenerate: True   (3 points)
+
+(n, d) = (2, 2):  x0 + x0^-1*y1 + 2*x0^-1 + x0^-1*y1^-1
+  value -4.000000000+0.000000000j  multiplicity 1
+  value +4.000000000+0.000000000j  multiplicity 1
+  nondegenerate: True   (2 points)
+
+(n, d) = (3, 2):  x0 + x1 + x0^-1*x1^-1*y1 + 2*x0^-1*x1^-1 + x0^-1*x1^-1*y1^-1
+  value -2.381101578-4.124188911j  multiplicity 1
+  value -2.381101578+4.124188911j  multiplicity 1
+  value +4.762203156+0.000000000j  multiplicity 1
+  nondegenerate: True   (3 points)
+
+(n, d) = (3, 3):  x0 + x0^-1*y1^2*y2^-1 + 3*x0^-1*y1 + 3*x0^-1*y2 + x0^-1*y1^-1*y2^2 + 3*x0^-1*y1*y2^-1 + 6*x0^-1 + 3*x0^-1*y1^-1*y2 + 3*x0^-1*y2^-1 + 3*x0^-1*y1^-1 + x0^-1*y1^-1*y2^-1
+  value -10.392304845+0.000000000j  multiplicity 1
+  value +10.392304845+0.000000000j  multiplicity 1
+  nondegenerate: True   (2 points)
+
+(n, d) = (4, 3):  x0 + x1 + x0^-1*x1^-1*y1^2*y2^-1 + 3*x0^-1*x1^-1*y1 + 3*x0^-1*x1^-1*y2 + x0^-1*x1^-1*y1^-1*y2^2 + 3*x0^-1*x1^-1*y1*y2^-1 + 6*x0^-1*x1^-1 + 3*x0^-1*x1^-1*y1^-1*y2 + 3*x0^-1*x1^-1*y2^-1 + 3*x0^-1*x1^-1*y1^-1 + x0^-1*x1^-1*y1^-1*y2^-1
+  value -4.500000000-7.794228634j  multiplicity 1
+  value -4.500000000+7.794228634j  multiplicity 1
+  value +9.000000000+0.000000000j  multiplicity 1
+  nondegenerate: True   (3 points)
+
+"""
+
+
+def run_script(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{script}.py")], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == EXPECTED[script]
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", sorted(EXPECTED))
+def test_script_stdout_is_pinned(script):
+    assert run_script(script) == EXPECTED[script]
+
+
+def test_hypersurface_critical_values_pinned_up_to_float_noise():
+    lines = []
+    for line in run_script("hypersurface_critical_values").splitlines():
+        m = re.fullmatch(r"(  value \S+  multiplicity \d+)  \|closed-form error\| = (\S+)", line)
+        if m:
+            assert float(m.group(2)) < 1e-12, line
+            line = m.group(1)
+        lines.append(re.sub(r"-(0\.0{9})(?!\d)", r"+\1", line))  # a signed zero
+    assert "\n".join(lines) + "\n" == HYPERSURFACE_VALUES
