@@ -28,8 +28,17 @@ before the result), each side's median over its runs of the kind's median
 latency (``latency_p50_ms_by_kind``), so a saving can be placed; no verdict
 rests on these.
 
+Then it appends one record to ``BENCH_<WORKLOAD>.json`` in CHANGE_DIR, a
+JSON list that each full set of pairs extends by one, so the numbers of
+successive changes can be read side by side.  A record holds the workload,
+the seeds, each side's ``git_commit`` and ``source_sha256`` from its report
+line's environment block, each metric's ``summarize`` dict, the per-kind
+medians (null where a side timed no such job) and the change's environment
+block from its first run, less ``lgforge_file``: a path on the machine that
+ran it, where ``source_sha256`` already identifies the code.
+
 Exits 1 as soon as a run fails, reports an incorrect result or a failed
-operation, and 0 otherwise, whatever the numbers say.
+operation, writing no record, and 0 otherwise, whatever the numbers say.
 """
 
 from __future__ import annotations
@@ -73,15 +82,21 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
-def kind_median(by_kind_runs: list[dict[str, float]], kind: str) -> str:
-    """The median of ``kind`` over the runs that timed it, or "n/a" if none did."""
+def kind_median(by_kind_runs: list[dict[str, float]], kind: str) -> float | None:
+    """The median of ``kind`` over the runs that timed it, or None if none did."""
     values = [r[kind] for r in by_kind_runs if kind in r]
-    return f"{statistics.median(values):.4g}" if values else "n/a"
+    return statistics.median(values) if values else None
+
+
+def append_record(path: Path, record: dict) -> None:
+    records = json.loads(path.read_text()) if path.exists() else []
+    path.write_text(json.dumps(records + [record], indent=1) + "\n")
 
 
 def run_side(checkout: Path, workload: str, seed: int
-             ) -> tuple[dict[str, float], dict[str, float]]:
-    """One run's end-to-end metrics and its median latency per job kind, in ms."""
+             ) -> tuple[dict[str, float], dict[str, float], dict]:
+    """One run's end-to-end metrics, its median latency per job kind in ms,
+    and its environment block."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", "0"],
@@ -95,7 +110,7 @@ def run_side(checkout: Path, workload: str, seed: int
                             f"correct={result['correct']}, failed={result['failed']}"))
     report = json.loads(lines[-2])["report"]
     return ({name: m["value"] for name, m in result["metrics"].items()},
-            report["latency_p50_ms_by_kind"])
+            report["latency_p50_ms_by_kind"], report["environment"])
 
 
 def main(argv: list[str]) -> int:
@@ -107,32 +122,48 @@ def main(argv: list[str]) -> int:
     metrics = json.loads((parent_dir / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"parent": [], "change": []}
     kinds = {"parent": [], "change": []}
+    environments = {}
     for i in range(PAIRS):
         seed = first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            metrics_run, by_kind = run_side(parent_dir if side == "parent" else change_dir,
-                                            workload, seed)
+            metrics_run, by_kind, environment = run_side(
+                parent_dir if side == "parent" else change_dir, workload, seed)
             runs[side].append(metrics_run)
             kinds[side].append(by_kind)
+            environments.setdefault(side, environment)
         parent, change = runs["parent"][-1], runs["change"][-1]
         print(f"pair {i + 1} seed {seed} ({order[0]} first): " + "; ".join(
             f"{m['name']} {parent[m['name']]:.4g} -> {change[m['name']]:.4g}" for m in metrics),
             flush=True)
     print(f"{workload}, seeds {first_seed}-{first_seed + PAIRS - 1}:")
+    summaries = {}
     for m in metrics:
         name = m["name"]
-        s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                      m["better"], m["bound"])
+        s = summaries[name] = summarize([r[name] for r in runs["parent"]],
+                                        [r[name] for r in runs["change"]], m["better"], m["bound"])
         print(f"  {name} ({m['unit']}, {m['better']} is better): parent {s['parent_median']:.4g} "
               f"[{s['parent_q1']:.4g}, {s['parent_q3']:.4g}], change {s['change_median']:.4g}, "
               f"won {s['won']}/{s['pairs']}, gap beyond the parent's spread: "
               f"{'yes' if s['exceeds_spread'] else 'no'}; {s['verdict']} "
               f"(bound {m['bound']:.0%})")
     print("  median latency per job kind (ms), median over runs:")
+    kind_medians = {}
     for kind in sorted({k for r in kinds["parent"] + kinds["change"] for k in r}):
-        parent, change = (kind_median(kinds[side], kind) for side in ("parent", "change"))
+        medians = kind_medians[kind] = {side: kind_median(kinds[side], kind)
+                                        for side in ("parent", "change")}
+        parent, change = ("n/a" if v is None else f"{v:.4g}" for v in medians.values())
         print(f"    {kind}: parent {parent}, change {change}")
+    append_record(change_dir / f"BENCH_{workload}.json", {
+        "workload": workload,
+        "seeds": list(range(first_seed, first_seed + PAIRS)),
+        **{side: {key: environments[side][key] for key in ("git_commit", "source_sha256")}
+           for side in ("parent", "change")},
+        "metrics": summaries,
+        "kind_medians": kind_medians,
+        "environment": {key: value for key, value in environments["change"].items()
+                        if key != "lgforge_file"},
+    })
     return 0
 
 

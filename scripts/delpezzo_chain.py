@@ -15,7 +15,6 @@ from lgforge import (
     apply_substitution,
     build_cover_potential,
     check_period_invariance,
-    descendant_constant,
     parse_poly,
     period_sequence,
     substitution_from_dict,
@@ -41,7 +40,7 @@ def main():
 
     print()
     print("== stage 2: double cover of the quadric branched along an elliptic curve ==")
-    d2 = descendant_constant(period_sequence(stage1.quotient_potential, 2), 2)
+    d2 = DescendantConstant(2, period_sequence(stage1.quotient_potential, 2)[2])
     print(f"descendant at degree 2: {d2.value}")
     everything = DivisorFunctional((Fraction(0), Fraction(0)), Fraction(1))
     stage2 = build_cover_potential(

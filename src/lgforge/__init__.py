@@ -35,10 +35,10 @@ _EXPORTS = {
                 "rewrite_in_sublattice", "solve_character"),
     "laurent": ("Exponent", "LaurentPoly", "RationalExpr", "divide_exact", "laurent_normalize"),
     "mutation": ("PeriodCompareReport", "Substitution", "apply_substitution",
-                 "check_period_invariance", "identity_substitution", "substitution_from_dict"),
+                 "check_period_invariance", "substitution_from_dict"),
     "parsing": ("parse", "parse_poly"),
-    "periods": ("DescendantConstant", "PeriodSequence", "WeakLGReport", "descendant_constant",
-                "ingest_reference", "is_weak_lg", "period_sequence", "power_coefficient"),
+    "periods": ("DescendantConstant", "PeriodSequence", "WeakLGReport", "ingest_reference",
+                "is_weak_lg", "period_sequence", "power_coefficient"),
 }
 _LAYERS = frozenset(_EXPORTS) | {"potentials"}
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

@@ -1,20 +1,23 @@
 """Command-line front end.
 
 Subcommands: eval, period, cover, quotient, crit, mutate, tangency, compare,
-check-weak-lg, ledger.  Inputs come from --expr/--vars flags or from --spec
-files (file contents win on conflict, with a warning); cover and ledger read
-only --spec.  Output is a text table or stable-key-ordered JSON, byte-identical
-across runs.  Only crit is random and takes --seed; every other command is
-exact and records seed 0 in its provenance.  Exit codes: 0 success, 1
-computation error, 2 usage or parse error.  crit loads numpy with one BLAS
-thread unless the user set a thread count (OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS, MKL_NUM_THREADS or OMP_NUM_THREADS), and leaves os.environ
-as it found it.  No command loads OpenSSL: the provenance digest comes from
-CPython's builtin SHA-256 (hashlib only where the build lacks it).  ``run``
-is the process entry (``python -m lgforge`` and the ``lgforge`` script): it
-turns the cyclic garbage collector off and lifts CPython's 4300-digit limit
-on int/str conversion, so exact results of any size print; ``main`` is the
-same without those two process settings.
+check-weak-lg, ledger.  Inputs come from flags (--expr/--vars, and tangency's
+-r, --boundary, --multiplicities, --descendant and --smooth) or from --spec
+files: file contents win on conflict, with a warning naming each flag given;
+cover and ledger read only --spec.  An empty --spec, --output, --reference
+or --sub names no file and is a usage error.  Output is a text table or
+stable-key-ordered JSON, byte-identical across runs.  Only crit is random and
+takes --seed; every other command is exact and records seed 0 in its
+provenance.  Exit codes: 0 success, 1 computation error, 2 usage or parse
+error.  crit loads numpy with one BLAS thread unless the user set a thread
+count (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, MKL_NUM_THREADS or
+OMP_NUM_THREADS), and leaves os.environ as it found it.  No command loads
+OpenSSL: the provenance digest comes from CPython's builtin SHA-256 (hashlib
+only where the build lacks it).  ``run`` is the process entry
+(``python -m lgforge`` and the ``lgforge`` script): it turns the cyclic
+garbage collector off and lifts CPython's 4300-digit limit on int/str
+conversion, so exact results of any size print; ``main`` is the same
+without those two process settings.
 
 Every command needs ``errors`` and ``parsing`` (and through it ``laurent``
 and ``_record``), and most need ``periods``, so those load with this module.
@@ -122,20 +125,34 @@ def _json_object(path: str) -> dict:
     return data
 
 
-def _spec(args, spec_only: bool = False) -> dict | None:
+# The flags whose inputs a spec file supplies instead, by argparse dest.
+_EXPR_FLAGS = {"expr": "--expr", "vars": "--vars"}
+_TANGENCY_FLAGS = {**_EXPR_FLAGS, "degree": "-r", "boundary": "--boundary",
+                   "multiplicities": "--multiplicities", "descendant": "--descendant",
+                   "smooth": "--smooth"}
+
+# The flags that name a file; an empty value names none.
+_PATH_FLAGS = ("spec", "output", "reference", "sub")
+
+
+def _spec(args, spec_only: bool = False, overrides: dict = _EXPR_FLAGS) -> dict | None:
     """The --spec file's JSON object, or None without --spec.
 
     cover and ledger (``spec_only``) read nothing else, so they require it.
-    Every other command also takes --expr/--vars, and this is the one place
-    that warns when --spec overrides them.
+    Every other command also takes the flags in ``overrides``, and this is
+    the one place that warns, naming each one given, when --spec overrides
+    them.
     """
-    if not args.spec:
+    if args.spec is None:
         if spec_only:
             raise ValueError("--spec is required")
         return None
     data = _json_object(args.spec)
-    if not spec_only and (args.expr or args.vars):
-        print("warning: --spec overrides --expr/--vars", file=sys.stderr)
+    # an absent flag is None, or False for --smooth; -r 0 and "" are given
+    given = [flag for dest, flag in overrides.items()
+             if getattr(args, dest, None) is not None and getattr(args, dest) is not False]
+    if given:
+        print(f"warning: --spec overrides {', '.join(given)}", file=sys.stderr)
     return data
 
 
@@ -319,7 +336,7 @@ def _cmd_mutate(args):
 
 
 def _cmd_tangency(args):
-    data, where = _spec(args), args.spec
+    data, where = _spec(args, overrides=_TANGENCY_FLAGS), args.spec
     if data is None:  # the flags, as the object a spec file holds (the potential as "expr")
         if args.boundary is None:
             raise ValueError("the boundary class --boundary is required")
@@ -359,7 +376,10 @@ def _cmd_compare(args):
     up_to = _max_power(args)
     raw.update({"expr2": expr2, "K": up_to})
     f = parse_poly(expr, varnames)
-    g = parse_poly(expr2, varnames)
+    try:
+        g = parse_poly(expr2, varnames)
+    except ExprSyntaxError as exc:
+        raise ValueError(f"--expr2: {exc}") from None
     report = check_period_invariance(f, g, up_to)
     result = {
         "passed": report.passed,
@@ -569,7 +589,7 @@ def _emit(command: str, result: dict, lines: list[str], raw_inputs: dict, args) 
         footer = (f"[lgforge {prov['version']} | seed {prov['seed']} | "
                   f"input {prov['input_sha256'][:12]}]")
         text = "\n".join(lines + [footer]) + "\n"
-    if args.output:
+    if args.output is not None:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
@@ -579,6 +599,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in _PATH_FLAGS:
+            if getattr(args, name, None) == "":
+                raise ValueError(f"--{name} needs a file path, got an empty value")
         result, lines, raw_inputs = args.handler(args)
         _emit(args.command, result, lines, raw_inputs, args)
     except _USAGE_ERRORS as exc:

@@ -146,10 +146,6 @@ class Sublattice:
             raise ValueError("basis columns are linearly dependent")
         return cls(n, _freeze(transpose(cols)), prod(row[i] for i, row in enumerate(reduced)))
 
-    @classmethod
-    def full(cls, n: int) -> "Sublattice":
-        return cls(n, _freeze(identity(n)), 1)
-
     @property
     def columns(self) -> Matrix:
         return _freeze(transpose(self.basis))

@@ -89,11 +89,6 @@ class LaurentPoly:
         return cls(rank, {(0,) * rank: c}, varnames)
 
     @classmethod
-    def monomial(cls, rank: int, e: Sequence[int], c=1,
-                 varnames: Sequence[str] | None = None) -> "LaurentPoly":
-        return cls(rank, {tuple(e): c}, varnames)
-
-    @classmethod
     def variable(cls, rank: int, index: int, varnames: Sequence[str] | None = None) -> "LaurentPoly":
         e = [0] * rank
         e[index] = 1
@@ -196,43 +191,6 @@ class LaurentPoly:
         for _ in range(k):
             acc = acc * self
         return acc
-
-    # ------------------------------------------------------------- extraction
-
-    def coefficient(self, e: Sequence[int]) -> Fraction:
-        key = tuple(e)
-        if len(key) != self.rank:
-            raise RankMismatchError(f"exponent length {len(key)} for rank {self.rank}")
-        return self._terms.get(key, Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.rank, Fraction(0))
-
-    # ----------------------------------------------------------- substitution
-
-    def monomial_substitute(self, matrix: Sequence[Sequence[int]],
-                            varnames: Sequence[str] | None = None) -> "LaurentPoly":
-        """Pull back along a monomial map of tori.
-
-        ``matrix`` has one column per source variable; column ``i`` is the
-        target exponent of variable ``i``.  A term ``c * x**e`` becomes
-        ``c * y**(matrix @ e)``; colliding images are summed.
-        """
-        rows = [tuple(r) for r in matrix]
-        if any(len(r) != self.rank for r in rows):
-            raise RankMismatchError(
-                f"matrix with {rows and len(rows[0])} columns applied to rank {self.rank}")
-        out_rank = len(rows)
-        if out_rank == 0:
-            raise RankMismatchError("substitution matrix must have at least one row")
-        if varnames is None:
-            varnames = self.varnames if out_rank == self.rank else None
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self._terms.items():
-            img = tuple(sum(r[j] * e[j] for j in range(self.rank)) for r in rows)
-            acc = out.get(img)
-            out[img] = c if acc is None else acc + c
-        return LaurentPoly(out_rank, out, varnames)
 
     # ------------------------------------------------------------- evaluation
 

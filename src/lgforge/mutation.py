@@ -34,14 +34,6 @@ class Substitution:
         return self.images[0].rank
 
 
-def identity_substitution(varnames) -> Substitution:
-    names = tuple(varnames)
-    rank = len(names)
-    return Substitution(tuple(
-        RationalExpr.from_poly(LaurentPoly.variable(rank, i, names))
-        for i in range(rank)))
-
-
 def apply_substitution(f: LaurentPoly, sub: Substitution) -> LaurentPoly:
     """Substitute every variable, combine exactly, and normalise to Laurent form."""
     if f.rank != len(sub.images):

@@ -328,11 +328,6 @@ def power_coefficient(f: LaurentPoly, r: int, t: Sequence[int]) -> Fraction:
     return Fraction(_pair(powers[(r + 1) // 2], powers[r // 2], pack(t)), denom ** r)
 
 
-def descendant_constant(p: PeriodSequence, r: int) -> DescendantConstant:
-    """The degree-r coefficient of a period sequence, packaged for cover input."""
-    return DescendantConstant(r, p[r])
-
-
 @record
 class WeakLGRow:
     k: int

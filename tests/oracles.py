@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Nothing in here imports lgforge internals beyond plain data (dicts of
-exponent tuples), so these stay honest as oracles.  The one exception is the
-per-start Newton search at the end, a bitwise reference for the block solver
-(see the note there).
+exponent tuples), so these stay honest as oracles.  Two exceptions: the
+monomial chart map ``pull_back`` computes its terms here and hands them to
+the ``LaurentPoly`` constructor, and the per-start Newton search at the end
+is a bitwise reference for the block solver (see the note there).
 """
 
 from __future__ import annotations
@@ -113,6 +114,27 @@ def hypersurface_period(n: int, d: int, k: int) -> int:
         return 0
     m = k // e
     return factorial(e * m) * factorial(d * m) // factorial(m) ** (n + 2)
+
+
+# ---------------------------------------------------------------------------
+# monomial charts
+# ---------------------------------------------------------------------------
+
+def pull_back(f, matrix):
+    """Pull f back along a monomial map of tori, as a LaurentPoly.
+
+    ``f`` is a LaurentPoly or a dict of terms.  Column i of ``matrix`` is the
+    target exponent of variable i, so a term c x^e becomes c y^(matrix @ e)
+    and colliding images are summed; the number of rows is the new rank,
+    which may differ from f's.  The result has the default variable names.
+    """
+    from lgforge import LaurentPoly
+
+    out: dict = {}
+    for e, c in (f if isinstance(f, dict) else f.terms).items():
+        image = tuple(sum(a * x for a, x in zip(row, e)) for row in matrix)
+        out[image] = out.get(image, 0) + c
+    return LaurentPoly(len(matrix), out)
 
 
 # ---------------------------------------------------------------------------

@@ -73,11 +73,14 @@ def stub_run(args, cwd, capture_output, text):
     """A benchmark run's last two lines: the report line, then the result line.
     The parent's runs take twice the change's time; seed s adds s ms."""
     seed = int(args[args.index("--seed") + 1])
-    slow = 2.0 if Path(cwd).name == "parent" else 1.0
+    side = Path(cwd).name
+    slow = 2.0 if side == "parent" else 1.0
     by_kind = {"period/P2": slow + seed, "period/dP4": 3 * slow + seed}
-    if Path(cwd).name == "parent" and seed == 3:
+    if side == "parent" and seed == 3:
         by_kind["period/extra"] = 7.0            # a kind timed on one side only
-    report = {"report": {"latency_p50_ms_by_kind": by_kind}}
+    environment = {"seed": seed, "git_commit": f"{side}-commit", "source_sha256": f"{side}-src",
+                   "lgforge_file": f"/{side}/src/lgforge/__init__.py"}
+    report = {"report": {"environment": environment, "latency_p50_ms_by_kind": by_kind}}
     metrics = {name: {"value": slow + seed, "unit": "ms"}
                for name in ("setup_s", "jobs_per_s", "latency_p50_ms", "latency_tail_ms",
                             "peak_rss_mb")}
@@ -86,13 +89,16 @@ def stub_run(args, cwd, capture_output, text):
                                        + "\n", "")
 
 
-def test_per_kind_medians_are_printed_after_the_summary(tmp_path, monkeypatch, capsys):
+def stub_checkouts(tmp_path, monkeypatch):
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "parent")
     monkeypatch.setattr(bench_pairs.subprocess, "run", stub_run)
-    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
-                             "periods-deep", "0"]) == 0
+    return [str(tmp_path / "parent"), str(tmp_path / "change")]
+
+
+def test_per_kind_medians_are_printed_after_the_summary(tmp_path, monkeypatch, capsys):
+    assert bench_pairs.main([*stub_checkouts(tmp_path, monkeypatch), "periods-deep", "0"]) == 0
     out = capsys.readouterr().out
     summary, kinds = out.split("median latency per job kind (ms), median over runs:\n")
     assert "latency_p50_ms (ms, lower is better)" in summary
@@ -102,6 +108,52 @@ def test_per_kind_medians_are_printed_after_the_summary(tmp_path, monkeypatch, c
         "    period/dP4: parent 10.5, change 7.5",
         "    period/extra: parent 7, change n/a",
     ]
+
+
+def test_each_set_appends_a_record_that_agrees_with_the_summary(tmp_path, monkeypatch, capsys):
+    checkouts = stub_checkouts(tmp_path, monkeypatch)
+    trajectory = tmp_path / "change" / "BENCH_periods-deep.json"
+    assert bench_pairs.main([*checkouts, "periods-deep", "0"]) == 0
+    out = capsys.readouterr().out
+    (record,) = json.loads(trajectory.read_text())
+    assert record["workload"] == "periods-deep"
+    assert record["seeds"] == list(range(10))
+    assert record["parent"] == {"git_commit": "parent-commit", "source_sha256": "parent-src"}
+    assert record["change"] == {"git_commit": "change-commit", "source_sha256": "change-src"}
+    assert record["environment"] == {"seed": 0, "git_commit": "change-commit",
+                                     "source_sha256": "change-src"}  # first run, no path
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert list(record["metrics"]) == [m["name"] for m in metrics]
+    for m in metrics:
+        s = record["metrics"][m["name"]]
+        assert (f"  {m['name']} ({m['unit']}, {m['better']} is better): parent "
+                f"{s['parent_median']:.4g} [{s['parent_q1']:.4g}, {s['parent_q3']:.4g}], "
+                f"change {s['change_median']:.4g}, won {s['won']}/{s['pairs']}, ") in out
+        assert f"; {s['verdict']} (bound {m['bound']:.0%})" in out
+    assert record["metrics"]["latency_p50_ms"]["change_median"] == 5.5
+    assert record["kind_medians"] == {
+        "period/P2": {"parent": 6.5, "change": 5.5},
+        "period/dP4": {"parent": 10.5, "change": 7.5},
+        "period/extra": {"parent": 7.0, "change": None},
+    }
+    assert bench_pairs.main([*checkouts, "periods-deep", "20"]) == 0
+    first, second = json.loads(trajectory.read_text())
+    assert first == record and second["seeds"] == list(range(20, 30))
+
+
+def test_a_failed_set_writes_no_record(tmp_path, monkeypatch):
+    checkouts = stub_checkouts(tmp_path, monkeypatch)
+
+    def wrong_on_seed_5(args, cwd, capture_output, text):
+        proc = stub_run(args, cwd, capture_output, text)
+        if "5" in args:
+            proc.stdout = proc.stdout.replace('"correct": true', '"correct": false')
+        return proc
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", wrong_on_seed_5)
+    with pytest.raises(SystemExit, match="correct=False"):
+        bench_pairs.main([*checkouts, "periods-deep", "0"])
+    assert not (tmp_path / "change" / "BENCH_periods-deep.json").exists()
 
 
 def test_a_run_without_a_report_line_fails(tmp_path, monkeypatch):

@@ -139,6 +139,42 @@ def test_spec_file_wins_with_warning(tmp_path, capsys):
     assert "2" in captured.out  # c_2 of x + 1/x
 
 
+def test_spec_override_warning_names_each_flag(capsys):
+    spec = ["tangency", "--spec", str(ROOT / "cases" / "tangency_toric.json")]
+    assert main(spec) == 0
+    alone = capsys.readouterr()
+    assert alone.err == ""
+    assert main(spec + ["--boundary", "5,5", "-r", "0", "--descendant", "3", "--smooth"]) == 0
+    overridden = capsys.readouterr()
+    assert overridden.out == alone.out
+    assert overridden.err == "warning: --spec overrides -r, --boundary, --descendant, --smooth\n"
+    # an empty value is still a given flag
+    assert main(["quotient", "--spec", str(ROOT / "cases" / "f2_upstairs.json"),
+                 "--weights", "1,1", "-r", "2", "--expr", ""]) == 0
+    assert capsys.readouterr().err == "warning: --spec overrides --expr\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--spec", ""],
+    ["period", "--spec", "", "--expr", "x+1/x", "--vars", "x", "-K", "2"],
+    ["period", "--expr", "x+1/x", "--vars", "x", "-K", "2", "--output", ""],
+    ["check-weak-lg", "--expr", "x", "--vars", "x", "-K", "2", "--reference", ""],
+    ["mutate", "--expr", "x", "--vars", "x", "--sub", ""],
+], ids=["cover-spec", "period-spec", "output", "reference", "sub"])
+def test_empty_path_flag_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    flag = argv[argv.index("") - 1]
+    assert captured.out == ""
+    assert captured.err == f"lgforge: {flag} needs a file path, got an empty value\n"
+
+
+def test_expr2_syntax_error_names_the_flag(capsys):
+    assert main(["compare", "--expr", "x", "--vars", "x", "--expr2", "", "-K", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "lgforge: --expr2: unexpected end of input (at position 0)\n")
+
+
 def test_expr_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("x + y + 1/(x*y)"))
     rc, out = run_cli(["period", "--expr", "-", "--vars", "x,y", "-K", "3"], capsys)
@@ -464,10 +500,10 @@ API = {
                "rewrite_in_sublattice solve_character",
     "laurent": "Exponent LaurentPoly RationalExpr divide_exact laurent_normalize",
     "mutation": "PeriodCompareReport Substitution apply_substitution check_period_invariance "
-                "identity_substitution substitution_from_dict",
+                "substitution_from_dict",
     "parsing": "parse parse_poly",
-    "periods": "DescendantConstant PeriodSequence WeakLGReport descendant_constant "
-               "ingest_reference is_weak_lg period_sequence power_coefficient",
+    "periods": "DescendantConstant PeriodSequence WeakLGReport ingest_reference is_weak_lg "
+               "period_sequence power_coefficient",
 }
 
 # Runs in a fresh interpreter with the API table as argv[1]: which lgforge
@@ -505,7 +541,7 @@ def test_package_api_and_the_tracer_layers():
     assert proc.returncode == 0, proc.stderr.decode()
     seen = json.loads(proc.stdout)
     names = sorted(name for names in API.values() for name in names.split())
-    assert len(names) == 66
+    assert len(names) == 64
     assert seen["package_ran"] == ["__init__"]
     assert seen["unloaded"] == []
     assert seen["star"] == names

@@ -1,4 +1,4 @@
-"""Generated spec files never crash the command line.
+"""Generated spec files and empty flag values never crash the command line.
 
 Each example writes a JSON spec for ``period``, ``tangency``, ``cover``,
 ``ledger`` or ``mutate --sub`` and runs ``lgforge.cli.main`` in-process.  The
@@ -8,12 +8,18 @@ input.  ``main`` must
 return 0, 1 or 2 (argparse may exit 2); any other exception is a crash.
 Integers stay within -3..6 and the strings hold no exponents, so no power
 grows large.
+
+The last test gives each string flag an empty value on every golden-manifest
+command: the flag is either rejected by name or overridden by --spec with a
+warning that names it, never silently dropped.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -21,7 +27,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgforge.cli import main
+from lgforge.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = json.loads((ROOT / "cases" / "golden_manifest.json").read_text())
 
 BASES = {
     "period": {"expr": "x + 1/x", "vars": ["x"]},
@@ -105,3 +114,31 @@ def test_generated_specs_never_crash(command):
         assert code in (0, 1, 2), err.getvalue()
 
     run()
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    return code, err.getvalue()
+
+
+def string_flags(command):
+    """The options of ``command`` that take one string value."""
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    return [a.option_strings[-1] for a in subparsers.choices[command]._actions
+            if type(a) is argparse._StoreAction and a.type is None]
+
+
+@pytest.mark.parametrize("entry", MANIFEST, ids=[e["name"] for e in MANIFEST])
+def test_empty_flag_value_is_named(entry):
+    argv = [str(ROOT / a) if a.startswith("cases/") else a for a in entry["argv"]]
+    for flag in string_flags(argv[0]):
+        code, err = run_main([*argv, flag, ""])  # the last value of a flag wins
+        named = re.search(re.escape(flag) + r"(?![\w-])", err)
+        assert named and (code == 2 or code == 0 and "warning: --spec overrides" in err), (
+            flag, code, err)

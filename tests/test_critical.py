@@ -219,7 +219,7 @@ def test_values_invariant_under_unimodular_substitution():
                   key=lambda z: (round(z.real, 6), round(z.imag, 6)))
     for _ in range(3):
         a = oracles.random_unimodular(rng, 2, steps=3)
-        g = f.monomial_substitute(a)
+        g = oracles.pull_back(f, a)
         vals = sorted((v for v, _ in critical_values(g, SolverOptions(starts=120, seed=1)).values),
                       key=lambda z: (round(z.real, 6), round(z.imag, 6)))
         assert len(vals) == len(base)
@@ -282,7 +282,7 @@ def test_crit_finds_the_conifold_point_the_periods_predict(f, up_to):
     # neither the periods nor the critical values, nor det H.
     n = f.rank
     for chart in [None] + [oracles.random_unimodular(random.Random(s), n) for s in range(4)]:
-        g = f if chart is None else f.monomial_substitute(chart)
+        g = f if chart is None else oracles.pull_back(f, chart)
         conifold, prefactor, m = conifold_fit(g, up_to)
         points = critical_points(g, SolverOptions(starts=200, seed=0)).points
         positive = [p for p in points

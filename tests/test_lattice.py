@@ -17,7 +17,7 @@ from lgforge import (
     rewrite_in_sublattice,
     solve_character,
 )
-from lgforge.lattice import hermite_column_basis
+from lgforge.lattice import hermite_column_basis, identity
 
 import oracles
 
@@ -74,7 +74,7 @@ def test_invariant_sublattice_properties(seed, n, r):
 # ---------------------------------------------------------------------------
 
 def test_membership_full_lattice():
-    full = Sublattice.full(3)
+    full = Sublattice.from_columns(identity(3))
     assert full.membership((5, -2, 7)) == (5, -2, 7)
 
 
@@ -113,7 +113,8 @@ def test_same_lattice():
     # same index, different lattice
     assert not sub.same_lattice(Sublattice.from_columns([(1, 0), (0, 2)]))
     # different ambient rank
-    assert not Sublattice.full(2).same_lattice(Sublattice.full(3))
+    assert not Sublattice.from_columns(identity(2)).same_lattice(
+        Sublattice.from_columns(identity(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +160,7 @@ def test_rewrite_round_trip(seed):
         terms[e] = terms.get(e, 0) + rng.randint(1, 5)
     f = LaurentPoly(n, terms)
     g = rewrite_in_sublattice(f, sub)
-    assert g.monomial_substitute([list(row) for row in sub.basis]) == f
+    assert oracles.pull_back(g, sub.basis) == f
 
 
 # ---------------------------------------------------------------------------

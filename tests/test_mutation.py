@@ -9,7 +9,6 @@ from lgforge import (
     NotLaurentError,
     apply_substitution,
     check_period_invariance,
-    identity_substitution,
     parse_poly,
     substitution_from_dict,
 )
@@ -29,7 +28,7 @@ DP5_MUTATION = ("x*y/(1+y)^2", "y")
 
 def test_identity():
     f = parse_poly("x + y + 1/x + 1/y", VARS)
-    assert apply_substitution(f, identity_substitution(VARS)) == f
+    assert apply_substitution(f, sub(*VARS)) == f
 
 
 def test_p1p1_mutates_to_quadric_potential():

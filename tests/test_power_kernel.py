@@ -28,7 +28,7 @@ import oracles
 
 
 def naive_periods(f, up_to):
-    return [(f ** k).constant_term() for k in range(up_to + 1)]
+    return [(f ** k).terms.get((0,) * f.rank, 0) for k in range(up_to + 1)]
 
 
 # Denominators drawn from {1, 2, 4} share factors; with 3 and 5 they are coprime.
@@ -62,7 +62,7 @@ def test_power_coefficient_matches_naive(f, r, data):
     power = f ** r
     targets = power.support() + [data.draw(st.tuples(*[st.integers(-20, 20)] * f.rank))]
     for t in targets:
-        assert power_coefficient(f, r, t) == power.coefficient(t)
+        assert power_coefficient(f, r, t) == power.terms.get(t, 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -70,13 +70,13 @@ def test_power_coefficient_matches_naive(f, r, data):
 def test_power_coefficient_wide_exponents(f, r, data):
     power = f ** r
     t = data.draw(st.sampled_from(power.support())) if power else (0,) * f.rank
-    assert power_coefficient(f, r, t) == power.coefficient(t)
+    assert power_coefficient(f, r, t) == power.terms.get(t, 0)
 
 
 @pytest.mark.parametrize("f", [
     LaurentPoly.zero(3),
     LaurentPoly.constant(2, Fraction(-3, 7)),
-    LaurentPoly.monomial(3, (2, -1, 4), Fraction(2, 3)),
+    LaurentPoly(3, {(2, -1, 4): Fraction(2, 3)}),
     parse_poly("x + y + 1/(x*y)", ["x", "y"]),
 ], ids=["zero", "constant", "monomial", "P2"])
 @pytest.mark.parametrize("up_to", [0, 1, 2, 3, 6, 7])
@@ -85,7 +85,7 @@ def test_degenerate_potentials(f, up_to):
     for r in range(up_to + 1):
         power = f ** r
         for t in power.support() + [(1,) * f.rank]:
-            assert power_coefficient(f, r, t) == power.coefficient(t)
+            assert power_coefficient(f, r, t) == power.terms.get(t, 0)
 
 
 def test_cancelling_terms():
@@ -101,7 +101,7 @@ def test_cancelling_terms():
 def test_shared_and_coprime_denominators():
     f = parse_poly("x/2 + y/4 + 1/(6*x*y) + 2/(15*x)", ["x", "y"])
     assert list(period_sequence(f, 7).coeffs) == naive_periods(f, 7)
-    assert power_coefficient(f, 5, (1, 0)) == (f ** 5).coefficient((1, 0))
+    assert power_coefficient(f, 5, (1, 0)) == (f ** 5).terms.get((1, 0), 0)
 
 
 def test_target_outside_newton_box_is_zero():

@@ -25,7 +25,6 @@ from lgforge import (
     build_cover_potential,
     cover,
     critical,
-    identity_substitution,
     lattice,
     laurent,
     mutation,
@@ -72,7 +71,7 @@ def samples() -> dict:
         "CriticalValueSet": (((3 + 0j, 2),), False),
         "CharacterAction": ((3, -1), 2),
         "Sublattice": (2, ((1, 0), (1, 2)), 2),
-        "Substitution": (identity_substitution(["x", "y"]).images,),
+        "Substitution": ((parse("x", ["x", "y"]), parse("y", ["x", "y"])),),
         "PeriodCompareRow": (2, Fraction(2), Fraction(2), True),
         "PeriodCompareReport": ((PeriodCompareRow(0, 1, 1, True),), True),
         "PeriodSequence": ("p", [1, 0, Fraction(2)], "computed"),
