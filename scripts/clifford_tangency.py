@@ -7,9 +7,7 @@ cubic; the spherical class at degree 3 has tau = 0 once the descendant 6 is
 subtracted.
 """
 
-from fractions import Fraction
-
-from lgforge import DescendantConstant, parse_poly, period_sequence, tangency_number
+from lgforge import parse_poly, period_sequence, tangency_number
 
 
 def main():
@@ -22,8 +20,8 @@ def main():
     smooth = tangency_number(w, 3, (1, 2), smooth=True)
     print(f"smooth anticanonical cubic:              tau = {smooth.value}")
 
-    descendant = DescendantConstant(3, period_sequence(w, 3)[3])
-    print(f"degree-3 descendant from the period sequence: {descendant.value}")
+    descendant = period_sequence(w, 3)[3]
+    print(f"degree-3 descendant from the period sequence: {descendant}")
     spherical = tangency_number(w, 3, (0, 0), smooth=True, descendant=descendant)
     print(f"spherical class (zero boundary):         tau = {spherical.value}")
 

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from lgforge import (
     CoverSpec,
-    DescendantConstant,
     DivisorFunctional,
     apply_substitution,
     build_cover_potential,
@@ -27,7 +26,7 @@ def main():
 
     print("== stage 1: double cover of the plane branched along a conic ==")
     stage1 = build_cover_potential(
-        CoverSpec(p2, conic, 2, DescendantConstant(2, Fraction(0))),
+        CoverSpec(p2, conic, 2, Fraction(0)),
         basis=[(-1, -1), (1, -1)], quotient_varnames=("x", "y"))
     print(f"upstairs : {stage1.upstairs_potential}")
     print(f"quotient : {stage1.quotient_potential}")
@@ -40,8 +39,8 @@ def main():
 
     print()
     print("== stage 2: double cover of the quadric branched along an elliptic curve ==")
-    d2 = DescendantConstant(2, period_sequence(stage1.quotient_potential, 2)[2])
-    print(f"descendant at degree 2: {d2.value}")
+    d2 = period_sequence(stage1.quotient_potential, 2)[2]
+    print(f"descendant at degree 2: {d2}")
     everything = DivisorFunctional((Fraction(0), Fraction(0)), Fraction(1))
     stage2 = build_cover_potential(
         CoverSpec(stage1.quotient_potential, everything, 2, d2),

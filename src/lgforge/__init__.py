@@ -27,7 +27,7 @@ _EXPORTS = {
     "critical": ("CriticalPoint", "CriticalSearch", "CriticalValueSet", "SolverOptions",
                  "critical_points", "critical_values", "log_gradient"),
     "errors": ("CharacterSolveError", "DiscLedgerError", "ExprSyntaxError",
-               "FloatRangeError", "InvalidFunctionalError", "InvarianceError", "LGForgeError",
+               "FloatRangeError", "InvalidFunctionalError", "LGForgeError",
                "MultiplicityError", "NotInSublatticeError", "NotLaurentError",
                "RankMismatchError", "ReferenceFormatError", "SequenceRangeError",
                "UnknownVariableError", "ZeroCoordinateError", "ZeroDenominatorError"),
@@ -37,8 +37,8 @@ _EXPORTS = {
     "mutation": ("PeriodCompareReport", "Substitution", "apply_substitution",
                  "check_period_invariance", "substitution_from_dict"),
     "parsing": ("parse", "parse_poly"),
-    "periods": ("DescendantConstant", "PeriodSequence", "WeakLGReport", "ingest_reference",
-                "is_weak_lg", "period_sequence", "power_coefficient"),
+    "periods": ("PeriodSequence", "WeakLGReport", "ingest_reference", "is_weak_lg",
+                "period_sequence", "power_coefficient"),
 }
 _LAYERS = frozenset(_EXPORTS) | {"potentials"}
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

@@ -60,7 +60,7 @@ from .errors import ExprSyntaxError, LGForgeError, ReferenceFormatError
 from .mutation import apply_substitution, check_period_invariance, substitution_from_dict
 from .parsing import (parse_poly, spec_bool, spec_field, spec_fraction, spec_int, spec_list,
                       spec_names, spec_object, spec_str)
-from .periods import DescendantConstant, ingest_reference, is_weak_lg, period_sequence
+from .periods import ingest_reference, is_weak_lg, period_sequence
 
 _USAGE_ERRORS = (ExprSyntaxError, ReferenceFormatError, OSError, ValueError)
 
@@ -92,14 +92,20 @@ def _read_expr(value: str) -> str:
     return sys.stdin.read() if value == "-" else value
 
 
+def _flag(value, flag: str, convert):
+    """``convert(value)`` for an inline flag; a value ``convert`` rejects is a
+    ValueError naming the flag."""
+    try:
+        return convert(value)
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"bad value for {flag}: {exc}") from None
+
+
 def _csv_flag(text: str, flag: str, convert=spec_list(int)) -> list:
     """The comma-separated values of an inline flag, as a list passed through
     ``convert`` (``spec_list`` or ``spec_names``); a list ``convert`` rejects
     is a ValueError naming the flag."""
-    try:
-        return convert(_split_csv(text))
-    except ValueError as exc:
-        raise ValueError(f"bad value for {flag}: {exc}") from None
+    return _flag(_split_csv(text), flag, convert)
 
 
 def _max_power(args) -> int:
@@ -343,11 +349,17 @@ def _cmd_tangency(args):
         _, _, data = _expr_inputs(args)
         if args.degree is None:
             raise ValueError("the cover degree -r is required")
-        data.update(r=args.degree,
-                    boundary=_csv_flag(args.boundary, "--boundary",
-                                       spec_list(int, len(data["vars"]))),
-                    multiplicities=(_csv_flag(args.multiplicities, "--multiplicities")
-                                    if args.multiplicities is not None else None),
+        boundary = _csv_flag(args.boundary, "--boundary", spec_list(int, len(data["vars"])))
+        mults = args.multiplicities
+        if mults is not None:
+            if args.smooth:
+                raise ValueError("--multiplicities: smooth mode takes no multiplicities")
+            mults = _csv_flag(mults, "--multiplicities")
+            if not mults:
+                raise ValueError("bad value for --multiplicities: expected at least one value")
+        if args.descendant is not None:  # checked here, hashed as typed
+            _flag(args.descendant, "--descendant", spec_fraction)
+        data.update(r=args.degree, boundary=boundary, multiplicities=mults,
                     descendant=args.descendant, smooth=args.smooth)
         where = "command line"
     expr = spec_field(data, "potential" if args.spec else "expr", spec_str, where)
@@ -358,10 +370,9 @@ def _cmd_tangency(args):
                          if args.spec else f"-r must be nonnegative, got {r}")
     boundary = spec_field(data, "boundary", spec_list(spec_int, len(varnames)), where)
     mults = spec_field(data, "multiplicities", spec_list(spec_int), where, None)
-    desc = spec_field(data, "descendant", spec_fraction, where, None)
+    descendant = spec_field(data, "descendant", spec_fraction, where, None)
     smooth = spec_field(data, "smooth", spec_bool, where, False)
     potential = parse_poly(expr, varnames)
-    descendant = None if desc is None else DescendantConstant(r, desc)
     tau = cover.tangency_number(
         potential, r, boundary, multiplicities=mults, descendant=descendant, smooth=smooth)
     result = {"integral": tau.integral, "tau": _frac_json(tau.value)}

@@ -6,11 +6,12 @@ upstairs is
 
     W_complement + W_divisor**r - descendant,
 
-living on the sublattice fixed by the deck character; rewriting it in a basis
-of that sublattice produces the quotient-torus potential.  The same coefficient
-bookkeeping inverts to tangency counts, and small helpers cover the disc-class
-checks (Riemann-Hurwitz lifting, Maslov positivity, monotonicity, and
-connectivity of the covering torus).
+with the descendant a rational (the point descendant at degree r).  It lives
+on the sublattice fixed by the deck character w, since w.e = degree(e) mod r
+fixes each of its terms; rewriting it in a basis of that sublattice produces
+the quotient-torus potential.  The same coefficient bookkeeping inverts to
+tangency counts, and small helpers cover the disc-class checks (Riemann-Hurwitz
+lifting, Maslov positivity, monotonicity, and connectivity of the covering torus).
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from ._record import record
 from .errors import (
     DiscLedgerError,
     InvalidFunctionalError,
-    InvarianceError,
     MultiplicityError,
     RankMismatchError,
 )
 from .lattice import CharacterAction, Sublattice, invariant_sublattice, \
     rewrite_in_sublattice, solve_character
 from .laurent import Exponent, LaurentPoly
-from .periods import DescendantConstant, power_coefficient
+from .periods import power_coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +114,11 @@ class CoverSpec:
     potential: LaurentPoly
     functional: DivisorFunctional
     r: int
-    descendant: DescendantConstant
+    descendant: Fraction  # the point descendant at degree r
 
     def __post_init__(self):
         cover_degree(self.r)
-        if self.descendant.r != self.r:
-            raise ValueError(
-                f"descendant degree {self.descendant.r} does not match cover degree {self.r}")
+        object.__setattr__(self, "descendant", Fraction(self.descendant))
         self.functional.validate_on(self.potential)
 
 
@@ -143,12 +141,8 @@ def build_cover_potential(spec: CoverSpec, *,
     coordinate choice); the override is validated against the derived lattice.
     """
     comp, div = split_potential(spec.potential, spec.functional)
-    upstairs = comp + div ** spec.r - spec.descendant.value
+    upstairs = comp + div ** spec.r - spec.descendant
     action = derive_action(spec.potential, spec.functional, spec.r)
-    bad = [e for e in upstairs.support() if not action.fixes(e)]
-    if bad:
-        raise InvarianceError(
-            f"cover potential has non-invariant exponents {bad}; inputs are inconsistent")
     lattice = invariant_sublattice(action)
     if basis is not None:
         try:  # columns that do not span the derived lattice
@@ -171,7 +165,7 @@ class TangencyNumber:
 
 def tangency_number(potential: LaurentPoly, r: int, boundary: Sequence[int], *,
                     multiplicities: Sequence[int] | None = None,
-                    descendant: DescendantConstant | None = None,
+                    descendant: Fraction | None = None,
                     smooth: bool = False) -> TangencyNumber:
     """Count of discs maximally tangent to the divisor, from r-th power coefficients.
 
@@ -182,12 +176,10 @@ def tangency_number(potential: LaurentPoly, r: int, boundary: Sequence[int], *,
         tau = (r_1! ... r_N! / r!) * (W**r [boundary] - [boundary == 0] * descendant)
 
     Smooth mode takes the divisor part W^D instead, and no multiplicities, so it
-    drops the multinomial factor.  The descendant only enters for spherical
-    classes (boundary = 0).
+    drops the multinomial factor.  The descendant, a rational at degree r, only
+    enters for spherical classes (boundary = 0).
     """
     boundary = tuple(int(x) for x in boundary)
-    if descendant is not None and descendant.r != r:
-        raise ValueError(f"descendant degree {descendant.r} does not match r={r}")
     if r < 0:  # ahead of the multiplicity checks, so a bad r stays a ValueError
         raise ValueError(f"exponent must be a nonnegative integer, got {r!r}")
     if smooth and multiplicities is not None:
@@ -207,7 +199,7 @@ def tangency_number(potential: LaurentPoly, r: int, boundary: Sequence[int], *,
         factor /= factorial(r)
     coeff = power_coefficient(potential, r, boundary)
     if all(x == 0 for x in boundary) and descendant is not None:
-        coeff -= descendant.value
+        coeff -= Fraction(descendant)
     value = coeff * factor
     return TangencyNumber(value, value.denominator == 1)
 
@@ -333,7 +325,7 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
         spec_field(fun, "constant", spec_fraction, f"{where}: functional"),
     )
     r = spec_field(data, "r", lambda value: cover_degree(spec_int(value)), where)
-    descendant = DescendantConstant(r, spec_field(data, "descendant", spec_fraction, where))
+    descendant = spec_field(data, "descendant", spec_fraction, where)
     spec = CoverSpec(potential, functional, r, descendant)
 
     def basis_columns(value) -> list[list[int]]:

@@ -58,10 +58,6 @@ class CharacterSolveError(LGForgeError):
     """The congruence system for a deck character has no solution."""
 
 
-class InvarianceError(LGForgeError):
-    """A constructed cover potential is not fixed by its own deck character."""
-
-
 class MultiplicityError(LGForgeError):
     """Tangency multiplicities do not sum to the cover degree."""
 

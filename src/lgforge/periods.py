@@ -47,19 +47,6 @@ class PeriodSequence:
         return self.coeffs[k]
 
 
-@record
-class DescendantConstant:
-    """A single regularized point-descendant value, indexed by its degree."""
-
-    r: int
-    value: Fraction
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("descendant degree must be nonnegative")
-        object.__setattr__(self, "value", Fraction(self.value))
-
-
 def _integral(f: LaurentPoly) -> tuple[dict[tuple[int, ...], int], int]:
     """``(g, D)`` with g = D*f integral, as an exponent -> int dict; D is the lcm of
     f's denominators."""

@@ -7,7 +7,7 @@ from fractions import Fraction
 from .cover import CoverSpec, DivisorFunctional, build_cover_potential
 from .laurent import LaurentPoly
 from .parsing import parse_poly
-from .periods import DescendantConstant, power_coefficient
+from .periods import power_coefficient
 
 
 def projective_space(n: int) -> LaurentPoly:
@@ -52,7 +52,7 @@ def fano_hypersurface_quotient(n: int, d: int) -> LaurentPoly:
         return LaurentPoly(n, base.terms, names)
     c = Fraction(d, n + 1)
     functional = DivisorFunctional([-c] * k + [1 - c] * (n - k), c)
-    descendant = DescendantConstant(d, power_coefficient(base, d, (0,) * n))
+    descendant = power_coefficient(base, d, (0,) * n)
     basis = [[int(i == j) + (j >= k) for i in range(n)] for j in range(n)]  # e_j, then 1 + e_j
     return build_cover_potential(CoverSpec(base, functional, d, descendant), basis=basis,
                                  quotient_varnames=names).quotient_potential

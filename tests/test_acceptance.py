@@ -15,7 +15,6 @@ from math import comb
 from lgforge import (
     CharacterAction,
     CoverSpec,
-    DescendantConstant,
     DiscClass,
     DivisorFunctional,
     LaurentPoly,
@@ -84,13 +83,13 @@ def test_criterion_2_del_pezzo_chain():
         p2 = parse_poly("z1 + z2 + 1/(z1*z2)", ["z1", "z2"])
         functional = DivisorFunctional((Fraction(1, 3), Fraction(1, 3)), Fraction(2, 3))
         stage1 = build_cover_potential(
-            CoverSpec(p2, functional, 2, DescendantConstant(2, Fraction(0))),
+            CoverSpec(p2, functional, 2, Fraction(0)),
             basis=[(-1, -1), (1, -1)], quotient_varnames=("x", "y"))
         assert stage1.quotient_potential == quadric
 
         # (c) the degree-2 descendant of the stage-1 quotient is 4
-        d2 = DescendantConstant(2, period_sequence(stage1.quotient_potential, 2)[2])
-        assert d2.value == 4
+        d2 = period_sequence(stage1.quotient_potential, 2)[2]
+        assert d2 == 4
 
         # (d) stage 2 and the mutated reference potential share periods to K=10
         divisor_all = DivisorFunctional((Fraction(0), Fraction(0)), Fraction(1))
@@ -115,7 +114,7 @@ def test_criterion_3_tangency_numbers():
         smooth = tangency_number(w, 3, (1, 2), smooth=True)
         assert smooth.value == 3 and smooth.integral
         spherical = tangency_number(w, 3, (0, 0), smooth=True,
-                                    descendant=DescendantConstant(3, Fraction(6)))
+                                    descendant=Fraction(6))
         assert spherical.value == 0 and spherical.integral
 
 
@@ -176,8 +175,7 @@ def test_criterion_7_rank_one_weak_lg():
     with criterion(7, "rank-1 weak-LG sanity"):
         f = parse_poly("x + 1/x", ["x"])
         functional = DivisorFunctional((Fraction(0),), Fraction(1))
-        spec = CoverSpec(f, functional, 2,
-                         DescendantConstant(2, (f ** 2).terms.get((0,), 0)))
+        spec = CoverSpec(f, functional, 2, (f ** 2).terms.get((0,), 0))
         res = build_cover_potential(spec, quotient_varnames=("u",))
         assert res.upstairs_potential == parse_poly("x^2 + x^-2", ["x"])
         seq = period_sequence(res.upstairs_potential, 12)

@@ -10,8 +10,9 @@ Integers stay within -3..6 and the strings hold no exponents, so no power
 grows large.
 
 The last test gives each string flag an empty value on every golden-manifest
-command: the flag is either rejected by name or overridden by --spec with a
-warning that names it, never silently dropped.
+command, and on the flag form of two tangency commands: the flag is either
+rejected by name or overridden by --spec with a warning that names it, never
+silently dropped.
 """
 
 import argparse
@@ -99,7 +100,7 @@ def specs(draw, command):
 
 @pytest.mark.parametrize("command", sorted(BASES))
 def test_generated_specs_never_crash(command):
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(specs(command))
     def run(spec):
         with tempfile.TemporaryDirectory() as tmp:
@@ -134,7 +135,18 @@ def string_flags(command):
             if type(a) is argparse._StoreAction and a.type is None]
 
 
-@pytest.mark.parametrize("entry", MANIFEST, ids=[e["name"] for e in MANIFEST])
+# The manifest's tangency commands all read --spec; these give the same inputs as flags.
+TANGENCY_FLAGS = ["tangency", "--expr", "z1 + z2 + 1/(z1*z2)", "--vars", "z1,z2", "-r", "3"]
+FLAG_FORMS = [
+    {"name": "tangency_toric_flags",
+     "argv": [*TANGENCY_FLAGS, "--boundary", "1,2", "--multiplicities", "0,1,2"]},
+    {"name": "tangency_spherical_flags",
+     "argv": [*TANGENCY_FLAGS, "--boundary", "0,0", "--smooth", "--descendant", "6"]},
+]
+
+
+@pytest.mark.parametrize("entry", MANIFEST + FLAG_FORMS,
+                         ids=[e["name"] for e in MANIFEST + FLAG_FORMS])
 def test_empty_flag_value_is_named(entry):
     argv = [str(ROOT / a) if a.startswith("cases/") else a for a in entry["argv"]]
     for flag in string_flags(argv[0]):

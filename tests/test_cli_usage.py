@@ -98,7 +98,7 @@ MALFORMED = [
      2, ["'boundary'", "expected a list"]),
     ("tangency-descendant-zero-denominator", [
         "tangency", *EXPR, "-r", "2", "--boundary", "0", "--smooth", "--descendant", "1/0"],
-     2, ["'descendant'"]),
+     2, ["--descendant"]),
     ("ledger-classes-not-list", ["ledger", "--spec", {"classes": 3}], 2, ["'classes'"]),
     ("ledger-class-without-half-maslov", ["ledger", "--spec", {"classes": [{"area": 1}]}],
      2, ["classes[0]", "missing key 'half_maslov'"]),

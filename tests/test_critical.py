@@ -50,7 +50,7 @@ def test_gradient_of_monomial():
                                parse_poly("x^2*y", ["x", "y"])]
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_gradient_matches_finite_differences(seed):
     # theta_i f is the derivative of t -> f(x * exp(t * delta_i)) at t = 0
@@ -133,7 +133,7 @@ def assert_log_hessian_det_matches(f, point):
     assert abs(point.log_hessian_det - _det(hess)) <= 1e-9 * scale
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 def test_log_hessian_det_matches_exact_derivatives(n, seed):
     # random terms added to x_1 + ... + x_n + 1/(x_1 ... x_n), whose terms they
@@ -375,7 +375,7 @@ def assert_same_bits(f, opts):
         [[repr(getattr(p, k)) for k in FIELDS] for p in want.points]
 
 
-@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@settings(max_examples=45)
 @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_block_newton_matches_per_start_loop(n, seed, simplex):
     # with the terms of x_1 + ... + x_n + 1/(x_1 ... x_n) added, the origin

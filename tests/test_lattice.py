@@ -49,7 +49,7 @@ def test_parity_action_on_first_coordinate():
     assert sub.columns == ((2, 0), (0, 1))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 6))
 def test_invariant_sublattice_properties(seed, n, r):
     rng = random.Random(seed)
@@ -88,7 +88,7 @@ def test_membership_parity_obstruction():
     assert sub.membership((1, 0)) is None
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
 def test_membership_on_random_bases(seed, n):
     rng = random.Random(seed)
@@ -143,7 +143,7 @@ def test_rewrite_reports_offending_monomial():
     assert err.value.exponent in ((1, 0), (0, 1))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_rewrite_round_trip(seed):
     rng = random.Random(seed)
@@ -180,7 +180,7 @@ def _minors(rows, k):
             for cols in itertools.combinations(range(len(rows[0])), k)]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 6), st.integers(0, 4))
 def test_hermite_column_basis_on_random_generators(seed, n, m, rank):
     # m generators in Z^n as the rows of an m x k times k x n product, so

@@ -200,7 +200,7 @@ def test_evaluate_outside_the_float_range_raises(text, point):
         poly(text).evaluate(point)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_evaluate_is_multiplicative_on_unit_torus(seed):
     rng = random.Random(seed)
@@ -216,7 +216,7 @@ def test_evaluate_is_multiplicative_on_unit_torus(seed):
 # ring axioms and convolution oracle
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_ring_axioms(seed):
     rng = random.Random(seed)
@@ -230,7 +230,7 @@ def test_ring_axioms(seed):
     assert f * (g + h) == f * g + f * h
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6), st.integers(0, 6))
 def test_pow_addition_law(seed, a, b):
     rng = random.Random(seed)
@@ -238,7 +238,7 @@ def test_pow_addition_law(seed, a, b):
     assert f ** a * f ** b == f ** (a + b)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_multiplication_matches_dense_convolution(seed):
     rng = random.Random(seed)
@@ -270,7 +270,7 @@ def test_divide_inexact_raises():
         divide_exact(poly("x + 1"), poly("y + 1"))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_divide_undoes_multiplication(seed):
     rng = random.Random(seed)

@@ -49,7 +49,7 @@ def test_non_laurent_image_raises():
         apply_substitution(f, sub("x/(1+y)", "y"))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_substitution_is_a_ring_map(seed):
     rng = random.Random(seed)

@@ -165,7 +165,7 @@ def test_render_examples():
     assert parse_poly("-x + 2/3", ["x"]).render() == "-x + 2/3"
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
 def test_round_trip_through_text(seed, rank):
     rng = random.Random(seed)

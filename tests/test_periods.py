@@ -169,7 +169,7 @@ def test_ingest_bad_header(tmp_path):
 # invariants
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_periods_invariant_under_unimodular_substitution(seed):
     rng = random.Random(seed)
@@ -179,7 +179,7 @@ def test_periods_invariant_under_unimodular_substitution(seed):
     assert period_sequence(f, 5).coeffs == period_sequence(g, 5).coeffs
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
 def test_periods_of_disjoint_sum_convolve(seed, up_to):
     # c0((f(+)g)^k) = sum_j C(k,j) c0(f^j) c0(g^(k-j)) when f, g use disjoint
@@ -199,7 +199,7 @@ def test_periods_of_disjoint_sum_convolve(seed, up_to):
         assert combined[k] == oracles.constant_term_of_power((f + g).terms, k, 2)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_nonnegative_integer_coefficients(seed):
     rng = random.Random(seed)

@@ -44,19 +44,19 @@ def polys(draw, max_exp=3, max_terms=4):
     return LaurentPoly(rank, terms)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(polys(), st.integers(0, 5))
 def test_period_sequence_matches_naive_powers(f, up_to):
     assert list(period_sequence(f, up_to).coeffs) == naive_periods(f, up_to)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(polys(max_exp=40, max_terms=3), st.integers(0, 4))
 def test_wide_exponents_stress_the_radix(f, up_to):
     assert list(period_sequence(f, up_to).coeffs) == naive_periods(f, up_to)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(polys(), st.integers(0, 5), st.data())
 def test_power_coefficient_matches_naive(f, r, data):
     power = f ** r
@@ -65,7 +65,7 @@ def test_power_coefficient_matches_naive(f, r, data):
         assert power_coefficient(f, r, t) == power.terms.get(t, 0)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(polys(max_exp=40, max_terms=3), st.integers(0, 4), st.data())
 def test_power_coefficient_wide_exponents(f, r, data):
     power = f ** r
@@ -162,7 +162,7 @@ def simplex_potentials(draw):
     return LaurentPoly(n, {e: draw(coefficients) for e in exps})
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(simplex_potentials(), st.integers(0, 7), st.data())
 def test_closed_form_matches_the_oracle_on_a_simplex(f, up_to, data):
     assert takes_closed_form(f)
@@ -319,19 +319,19 @@ def check_split(n, terms, up_to):
         oracles.constant_term_of_power(terms, k, n) for k in range(up_to + 1)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(disjoint_sums(), st.integers(0, 6))
 def test_disjoint_sums_match_the_oracle(case, up_to):
     check_split(*case, up_to)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(products(), st.integers(0, 6))
 def test_products_match_the_oracle(case, up_to):
     check_split(*case, up_to)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(near_products(), st.integers(0, 6))
 def test_near_products_fall_through_to_the_kernel(case, up_to):
     kernel = lgforge.periods._half_powers

@@ -14,7 +14,6 @@ import pytest
 from lgforge import (
     CharacterAction,
     CoverSpec,
-    DescendantConstant,
     DiscClass,
     DivisorFunctional,
     PeriodCompareReport,
@@ -49,15 +48,14 @@ def samples() -> dict:
     coercions of ``__post_init__`` (lists for tuples, ints for Fractions)."""
     f = parse_poly("z1 + z2 + 1/(z1*z2)", ["z1", "z2"])
     functional = DivisorFunctional((Fraction(1, 3), Fraction(1, 3)), Fraction(2, 3))
-    descendant = DescendantConstant(2, 0)
-    result = build_cover_potential(CoverSpec(f, functional, 2, descendant))
+    result = build_cover_potential(CoverSpec(f, functional, 2, 0))
     disc = DiscClass(1, [1, 0], [0, 1], 1)
     maslov_row = cover.MaslovRow(disc, 1, True)
     point = critical.CriticalPoint((1 + 2j, 0.5 - 1j), 3 + 0j, -2 + 1j, True, 1e-13)
     expr = parse("(1+x)/(1+y)", ["x", "y"])
     return {
         "DivisorFunctional": ([1, 0], 2),
-        "CoverSpec": (f, functional, 2, descendant),
+        "CoverSpec": (f, functional, 2, 0),
         "CoverResult": (result.upstairs_potential, result.action, result.quotient_potential,
                         result.basis),
         "TangencyNumber": (Fraction(7, 2), False),
@@ -75,7 +73,6 @@ def samples() -> dict:
         "PeriodCompareRow": (2, Fraction(2), Fraction(2), True),
         "PeriodCompareReport": ((PeriodCompareRow(0, 1, 1, True),), True),
         "PeriodSequence": ("p", [1, 0, Fraction(2)], "computed"),
-        "DescendantConstant": (3, 6),
         "WeakLGRow": (2, Fraction(2), Fraction(3), False),
         "WeakLGReport": ((WeakLGRow(2, Fraction(2), Fraction(2), True),), True),
         "RationalExpr": (expr.num, expr.den),
@@ -103,7 +100,7 @@ def fields(cls) -> tuple:
 
 
 def test_every_record_class_has_a_sample():
-    assert len(RECORDS) == 22
+    assert len(RECORDS) == 21
     assert sorted(RECORDS) == sorted(SAMPLES)
 
 
@@ -181,8 +178,10 @@ def test_post_init_coerces_and_validates():
         PeriodSequence("p", (2, 1), "computed")
     f = parse_poly("z1 + z2 + 1/(z1*z2)", ["z1", "z2"])
     functional = DivisorFunctional((Fraction(1, 3), Fraction(1, 3)), Fraction(2, 3))
+    descendant = CoverSpec(f, functional, 2, 4).descendant
+    assert descendant == 4 and type(descendant) is Fraction
     with pytest.raises(ValueError, match="at least 2"):
-        CoverSpec(f, functional, 1, DescendantConstant(1, 0))
+        CoverSpec(f, functional, 1, 0)
 
 
 def test_record_types_with_equal_fields_are_not_equal():
