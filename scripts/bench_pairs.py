@@ -11,8 +11,10 @@ pairs and the change first on odd ones.  For each end-to-end metric of the
 parent's ``BENCHMARK.json`` it prints the parent's median and quartiles
 [q1, q3], the change's median, the pairs the change won (ties count for
 neither side), whether the medians differ by more than the parent's
-quartile spread q3 - q1, and a verdict against the metric's ``bound``, the
-share of the parent's median by which the change may be worse:
+quartile spread q3 - q1, whether every change run beats every parent run
+(the all-vs-all margin, with the change's worst run and the parent's best
+run), and a verdict against the metric's ``bound``, the share of the
+parent's median by which the change may be worse:
 
 - *unresolved*: the parent's quartile spread exceeds that share, and not
   every change run beats every parent run, so the runs cannot tell;
@@ -54,7 +56,9 @@ PAIRS = 10
 
 def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """Medians, the parent's quartiles, the pairs the change won, whether the
-    gap between the medians exceeds the parent's quartile spread, and the
+    gap between the medians exceeds the parent's quartile spread, whether
+    every change run beats every parent run (``all_beat``, with
+    ``worst_change`` and ``best_parent``, the runs that decide it), and the
     verdict against ``bound`` (see the module docstring).
 
     ``parent[i]`` and ``change[i]`` are the two runs of pair i; ``better`` is
@@ -64,7 +68,10 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     parent_median, change_median = statistics.median(parent), statistics.median(change)
     allowed = bound * abs(parent_median)
-    if q3 - q1 > allowed and not all(sign * (c - p) > 0 for p in parent for c in change):
+    worst_change = min(change, key=lambda c: sign * c)
+    best_parent = max(parent, key=lambda p: sign * p)
+    all_beat = sign * (worst_change - best_parent) > 0
+    if q3 - q1 > allowed and not all_beat:
         verdict = "unresolved"
     elif sign * (parent_median - change_median) > allowed:
         verdict = "regressed"
@@ -78,6 +85,9 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
         "pairs": len(parent),
         "exceeds_spread": abs(change_median - parent_median) > q3 - q1,
+        "all_beat": all_beat,
+        "worst_change": worst_change,
+        "best_parent": best_parent,
         "verdict": verdict,
     }
 
@@ -145,7 +155,9 @@ def main(argv: list[str]) -> int:
         print(f"  {name} ({m['unit']}, {m['better']} is better): parent {s['parent_median']:.4g} "
               f"[{s['parent_q1']:.4g}, {s['parent_q3']:.4g}], change {s['change_median']:.4g}, "
               f"won {s['won']}/{s['pairs']}, gap beyond the parent's spread: "
-              f"{'yes' if s['exceeds_spread'] else 'no'}; {s['verdict']} "
+              f"{'yes' if s['exceeds_spread'] else 'no'}, every change run beats every "
+              f"parent run: {'yes' if s['all_beat'] else 'no'} (worst change "
+              f"{s['worst_change']:.4g}, best parent {s['best_parent']:.4g}); {s['verdict']} "
               f"(bound {m['bound']:.0%})")
     print("  median latency per job kind (ms), median over runs:")
     kind_medians = {}

@@ -70,9 +70,8 @@ def check_period_invariance(f: LaurentPoly, g: LaurentPoly, up_to: int) -> Perio
         raise RankMismatchError(f"rank {f.rank} vs rank {g.rank}")
     left = period_sequence(f, up_to)
     right = period_sequence(g, up_to)
-    rows = tuple(
-        PeriodCompareRow(k, left[k], right[k], left[k] == right[k])
-        for k in range(up_to + 1))
+    rows = tuple(PeriodCompareRow(k, a, b, a == b)
+                 for k, (a, b) in enumerate(zip(left.coeffs, right.coeffs)))
     return PeriodCompareReport(rows, all(r.match for r in rows))
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, lcm, prod
-from operator import or_
+from math import comb, factorial, lcm, perm, prod
+from operator import mul, or_
 from pathlib import Path
 from typing import Callable, Literal, Sequence
 
@@ -55,34 +55,33 @@ def _integral(f: LaurentPoly) -> tuple[dict[tuple[int, ...], int], int]:
     return {e: c.numerator * (denom // c.denominator) for e, c in terms.items()}, denom
 
 
-def _half_powers(g: dict[tuple[int, ...], int], h: int, pad: Sequence[int]
-                 ) -> tuple[list[dict[int, int]], Callable[[Sequence[int]], int]]:
-    """Powers g**0..g**h of an integral g != 0, on packed exponent keys.
+def _packing(bounds: Sequence[int]) -> Callable[[Sequence[int]], int]:
+    """The map e -> sum(e_i * R_i) with R_0 = 1 and R_(i+1) = R_i * (2*bounds_i + 1).
 
-    Returns ``(powers, pack)``.  ``pack`` sends an exponent vector e to
-    sum(e_i * R_i) with R_0 = 1 and R_(i+1) = R_i * (2*B_i + 1), where
-    B_i = h * max|e_i| over the support of g, plus |pad_i|.  The map is linear
-    and injective on the box |e_i| <= B_i.  That box holds every exponent a
-    of g**0..g**h, and pad - a too, so sums, negations and differences of
-    exponents become sums, negations and differences of int keys.
-
-    Each g**j is g**(j-1) shifted by g's first term, into which the other
-    terms of g are added, so a power costs (|g| - 1) * |g**(j-1)| dict
-    updates.  Callers read the constant term of g**k for k <= h straight
-    off ``powers[k]``; h = ceil(K/2) is the cheapest split for c_0..c_K,
-    because building g**(h+1) would cost |g| * |g**h| updates, more than
-    the |g**(K-h)| pairing lookups it saves.
+    It is linear and injective on the box |e_i| <= bounds_i, so sums,
+    negations and differences of exponents in that box become sums,
+    negations and differences of int keys.
     """
     radices = []
     radix = 1
-    for i, extra in enumerate(pad):
+    for bound in bounds:
         radices.append(radix)
-        bound = h * max(abs(e[i]) for e in g) + abs(extra)
         radix *= 2 * bound + 1
 
     def pack(e: Sequence[int]) -> int:
-        return sum(x * r for x, r in zip(e, radices))
+        return sum(map(mul, e, radices))
 
+    return pack
+
+
+def _powers(g: dict[tuple[int, ...], int], h: int, pack: Callable[[Sequence[int]], int]
+            ) -> list[dict[int, int]]:
+    """Powers g**0..g**h of an integral g != 0, on the keys ``pack`` gives.
+
+    Each g**j is g**(j-1) shifted by g's first term, into which the other
+    terms of g are added, so a power costs (|g| - 1) * |g**(j-1)| dict
+    updates.  ``pack`` must be injective on a box that holds g**h's support.
+    """
     (k0, c0), *rest = [(pack(e), c) for e, c in g.items()]
     powers = [{0: 1}]
     for _ in range(h):
@@ -96,7 +95,23 @@ def _half_powers(g: dict[tuple[int, ...], int], h: int, pad: Sequence[int]
         if 0 in out.values():
             out = {k: c for k, c in out.items() if c}
         powers.append(out)
-    return powers, pack
+    return powers
+
+
+def _half_powers(g: dict[tuple[int, ...], int], h: int, pad: Sequence[int]
+                 ) -> tuple[list[dict[int, int]], Callable[[Sequence[int]], int]]:
+    """The kernel's powers g**0..g**h of an integral g != 0, on packed exponent keys.
+
+    Returns ``(_powers(g, h, pack), pack)`` for the ``_packing`` with
+    bounds B_i = h * max|e_i| over the support of g, plus |pad_i|.  That box
+    holds every exponent a of g**0..g**h, and pad - a too, so callers pair
+    g**j with g**(k-j) at pad.  Callers read the constant term of g**k for
+    k <= h straight off ``powers[k]``; h = ceil(K/2) is the cheapest split for
+    c_0..c_K, because building g**(h+1) would cost |g| * |g**h| updates, more
+    than the |g**(K-h)| pairing lookups it saves.
+    """
+    pack = _packing([h * max(abs(e[i]) for e in g) + abs(extra) for i, extra in enumerate(pad)])
+    return _powers(g, h, pack), pack
 
 
 def _pair(hi: dict[int, int], lo: dict[int, int], target: int) -> int:
@@ -204,9 +219,33 @@ def _product_split(g: dict[tuple[int, ...], int], rank: int
     return None
 
 
+def _summed_variable(g: dict[tuple[int, ...], int]) -> int | None:
+    """The first variable x_i whose exponents in g all lie in {-1, 0, 1}, with
+    both -1 and 1 among them, or None: one pass over the exponent columns."""
+    return next((i for i, column in enumerate(zip(*g)) if {-1, 1} <= set(column) <= {-1, 0, 1}),
+                None)
+
+
+def _trinomial_split(g: dict[tuple[int, ...], int], i: int
+                     ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+    """``(S, Q)`` with g = x_i*P + Q + R/x_i, S = P*R, and P, Q, R free of x_i."""
+    parts: dict[int, dict[tuple[int, ...], int]] = {-1: {}, 0: {}, 1: {}}
+    for e, c in g.items():
+        parts[e[i]][e[:i] + (0,) + e[i + 1:]] = c
+    s: dict[tuple[int, ...], int] = {}
+    for a, x in parts[1].items():
+        for b, y in parts[-1].items():
+            e = tuple(u + v for u, v in zip(a, b))
+            s[e] = s.get(e, 0) + x * y
+    return {e: c for e, c in s.items() if c}, parts[0]
+
+
 def _power_constants(g: dict[tuple[int, ...], int], rank: int, up_to: int) -> list[int]:
-    """c_0(g**k) for k = 0..up_to of an integral g (exponent -> nonzero int);
-    the four steps are those of ``period_sequence``."""
+    """c_0(g**k) for k = 0..up_to of an integral g (exponent -> nonzero int):
+    a one-term g at once, otherwise by the five steps of ``period_sequence``."""
+    if len(g) == 1:
+        ((e, c),) = g.items()
+        return [1] + [0] * up_to if any(e) else [c ** k for k in range(up_to + 1)]
     blocks = _blocks(g, rank)
     if len(blocks) > 1:
         return reduce(_fold, (_power_constants(b, rank, up_to) for b in blocks))
@@ -219,8 +258,7 @@ def _power_constants(g: dict[tuple[int, ...], int], rank: int, up_to: int) -> li
             weight = prod(c ** l for c, l in zip(g.values(), ell))
             multinomial = power = 1
             for j in range(1, up_to // m + 1):  # (jm)!/prod (jℓ_i)! from its value at j - 1
-                multinomial = multinomial * prod(range((j - 1) * m + 1, j * m + 1)) // prod(
-                    prod(range((j - 1) * l + 1, j * l + 1)) for l in ell)
+                multinomial = multinomial * perm(j * m, m) // prod(perm(j * l, l) for l in ell)
                 power *= weight
                 out[j * m] = multinomial * power
         return out
@@ -231,6 +269,28 @@ def _power_constants(g: dict[tuple[int, ...], int], rank: int, up_to: int) -> li
                                           _power_constants(b_part, rank, up_to))]
         return [v // q ** k for k, v in enumerate(_fold([c ** k for k in range(up_to + 1)],
                                                         products))]
+    i = _summed_variable(g)
+    if i is not None:
+        s, q = _trinomial_split(g, i)
+        half = up_to // 2
+        if not q:
+            out = [0] * (up_to + 1)
+            for j, v in enumerate(_power_constants(s, rank, half)):
+                out[2 * j] = comb(2 * j, j) * v
+            return out
+        # S**j is needed only up to the largest j for which some S**j * Q**m,
+        # m <= up_to - 2j, has the origin in its exponent box j*box(S) + m*box(Q);
+        # every c_0(S**j * Q**m) beyond it is 0
+        boxes = [(min(a), max(a), min(b), max(b)) for a, b in zip(zip(*s), zip(*q))]
+        top = next(j for j in range(half, -1, -1) if any(
+            all(j * s0 + m * q0 <= 0 <= j * s1 + m * q1 for s0, s1, q0, q1 in boxes)
+            for m in range(up_to - 2 * j + 1)))
+        # one box holds S**0..S**top, Q**0..Q**up_to and -a for each key a of an S**j
+        pack = _packing([max(top * max(-s0, s1), up_to * max(-q0, q1))
+                         for s0, s1, q0, q1 in boxes])
+        s_powers, q_powers = _powers(s, top, pack), _powers(q, up_to, pack)
+        return [sum(comb(k, 2 * j) * comb(2 * j, j) * _pair(s_powers[j], q_powers[k - 2 * j], 0)
+                    for j in range(min(top, k // 2) + 1)) for k in range(up_to + 1)]
     h = (up_to + 1) // 2
     powers, _ = _half_powers(g, h, (0,) * rank)
     out = [p.get(0, 0) for p in powers]
@@ -240,9 +300,10 @@ def _power_constants(g: dict[tuple[int, ...], int], rank: int, up_to: int) -> li
 def period_sequence(f: LaurentPoly, up_to: int) -> PeriodSequence:
     """Constant terms of f**k for k = 0..up_to, exactly.
 
-    Write f = g/D with g integral; then c_k = c_0(g**k) / D**k, and c_0(g**k)
-    comes from the first of four steps that applies, each step recursing on
-    smaller integral potentials:
+    Write f = g/D with g integral; then c_k = c_0(g**k) / D**k.  A one-term g
+    gives c_k = c**k when the term is the constant c and 1, 0, 0, ... when it
+    is not; otherwise c_0(g**k) comes from the first of five steps that
+    applies, each step recursing on smaller integral potentials:
 
     1. Sum rule.  When g's terms fall into blocks that share no variable (the
        constant term is a block of its own), c_k(A + B) =
@@ -264,7 +325,19 @@ def period_sequence(f: LaurentPoly, up_to: int) -> PeriodSequence:
        ``_product_split``): since A and B share no variable,
        c_0((q*g)**k) = sum_j C(k, j) c**(k-j) c_j(A) c_j(B), which q**k
        divides exactly.
-    4. Kernel: build g**0..g**h for h = ceil(up_to/2) on packed int exponent
+    4. Trinomial step, when some variable x occurs only as x, 1 and 1/x, as
+       in the Fano hypersurface quotients x_0 + ... + x_(m-1) +
+       B(y)/(x_0...x_(m-1)) and the dP5 chain's X + 2/Y + 2Y + (1+Y)^4/(X*Y^2).
+       With g = x*P + Q + R/x and S = P*R, the constant term over x is
+       c_0(g**k) = sum_j C(k, 2j) C(2j, j) c_0(S**j * Q**(k-2j)), the
+       Givental-type shape of weak LG models of complete intersections
+       (Przyjalkowski, Commun. Number Theory Phys., 2007).  When Q = 0,
+       c_2j = C(2j, j) c_j(S) recurses on S; otherwise S**0..S**(K//2) (fewer
+       when exponent bounds make the rest pair to 0) and Q**0..Q**K are built
+       on one packing (see ``_powers``) and paired.
+       The product rule goes first because dP4 has such a variable too, and
+       the product rule serves it faster.
+    5. Kernel: build g**0..g**h for h = ceil(up_to/2) on packed int exponent
        keys (see ``_half_powers``).  For k <= h, c_0(g**k) is read off g**k
        itself; for h < k <= up_to it is sum_a g**(k-h)[a] * g**h[-a],
        iterating the smaller g**(k-h).  h is the cheapest split: one more
@@ -275,8 +348,9 @@ def period_sequence(f: LaurentPoly, up_to: int) -> PeriodSequence:
     g, denom = _integral(f)
     coeffs = []
     scale = 1
+    zero = Fraction(0)  # shared by every vanishing c_k
     for c in _power_constants(g, f.rank, up_to):
-        coeffs.append(Fraction(c, scale))
+        coeffs.append(Fraction(c, scale) if c else zero)
         scale *= denom
     return PeriodSequence("computed", tuple(coeffs), "computed")
 
@@ -342,12 +416,10 @@ def is_weak_lg(f: LaurentPoly, reference: PeriodSequence, up_to: int,
     if reference.max_power < up_to:
         raise SequenceRangeError(
             f"reference covers k <= {reference.max_power}, need {up_to}")
-    computed = period_sequence(f, up_to)
-    rows = []
-    for k in range(k_min, up_to + 1):
-        c, ref = computed[k], reference[k]
-        rows.append(WeakLGRow(k, c, ref, c == ref))
-    return WeakLGReport(tuple(rows), all(r.match for r in rows))
+    computed = period_sequence(f, up_to).coeffs
+    rows = tuple(WeakLGRow(k, computed[k], ref, computed[k] == ref)
+                 for k, ref in enumerate(reference.coeffs[k_min:up_to + 1], start=k_min))
+    return WeakLGReport(rows, all(r.match for r in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,22 @@ def test_direction_ties_and_spread():
     assert higher["exceeds_spread"]         # the gap counts either way; `won` says which
 
 
+# With a bound of 0.1 the parent's spread (2.5) exceeds the 1.15 allowed, so
+# the all-vs-all margin alone decides between "unresolved" and the rest.
+@pytest.mark.parametrize("better, shift, all_beat, worst_change, best_parent, verdict", [
+    ("lower", -7, True, 8.0, 9.0, "within bound"),    # change's slowest, 15 - 7, beats 9
+    ("lower", -6, False, 9.0, 9.0, "unresolved"),     # a tie with the parent's best is no win
+    ("lower", -1, False, 14.0, 9.0, "unresolved"),
+    ("higher", 7, True, 16.0, 15.0, "within bound"),  # change's lowest, 9 + 7, beats 15
+    ("higher", 6, False, 15.0, 15.0, "unresolved"),
+    ("higher", -7, False, 2.0, 15.0, "unresolved"),   # worse on every run
+])
+def test_all_vs_all_margin(better, shift, all_beat, worst_change, best_parent, verdict):
+    s = summarize(PARENT, [x + shift for x in PARENT], better, 0.1)
+    assert (s["all_beat"], s["worst_change"], s["best_parent"], s["verdict"]) == (
+        all_beat, worst_change, best_parent, verdict)
+
+
 def test_wrong_argument_count_is_a_usage_error(capsys):
     assert bench_pairs.main(["parent", "change"]) == 2
     assert "PARENT_DIR CHANGE_DIR WORKLOAD FIRST_SEED" in capsys.readouterr().err
@@ -129,8 +145,14 @@ def test_each_set_appends_a_record_that_agrees_with_the_summary(tmp_path, monkey
         assert (f"  {m['name']} ({m['unit']}, {m['better']} is better): parent "
                 f"{s['parent_median']:.4g} [{s['parent_q1']:.4g}, {s['parent_q3']:.4g}], "
                 f"change {s['change_median']:.4g}, won {s['won']}/{s['pairs']}, ") in out
-        assert f"; {s['verdict']} (bound {m['bound']:.0%})" in out
+        assert (f"every change run beats every parent run: {'yes' if s['all_beat'] else 'no'} "
+                f"(worst change {s['worst_change']:.4g}, best parent {s['best_parent']:.4g}); "
+                f"{s['verdict']} (bound {m['bound']:.0%})") in out
     assert record["metrics"]["latency_p50_ms"]["change_median"] == 5.5
+    # stub seeds 0..9 add 0..9 ms to 1 ms (change) and 2 ms (parent): 10 against 2
+    assert {key: record["metrics"]["latency_p50_ms"][key]
+            for key in ("all_beat", "worst_change", "best_parent")} == {
+        "all_beat": False, "worst_change": 10.0, "best_parent": 2.0}
     assert record["kind_medians"] == {
         "period/P2": {"parent": 6.5, "change": 5.5},
         "period/dP4": {"parent": 10.5, "change": 7.5},

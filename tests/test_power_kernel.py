@@ -1,6 +1,12 @@
 """The exact power kernel behind period sequences and tangency numbers, the
-closed form that replaces it on an affinely independent support, and the sum
-and product rules that split a potential before either.
+closed form that replaces it on an affinely independent support, the sum and
+product rules that split a potential before either, and the trinomial step.
+
+The trinomial step sums out a variable x that occurs only as x, 1 and 1/x:
+for g = x*P + Q + R/x, c_k(g) = sum_j C(k, 2j) C(2j, j) c_0((P*R)**j * Q**(k-2j)).
+It runs after the product rule, because a product such as dP4's
+(1+x)^2(1+y)^2/(xy) - 4 also has such a variable, and the product rule serves
+it faster.
 
 Every check compares against naive powering, in ``LaurentPoly`` or in
 ``oracles.dict_pow``, which keep Fraction coefficients and tuple exponents and
@@ -20,7 +26,7 @@ from hypothesis import strategies as st
 import lgforge.periods
 from lgforge import (LaurentPoly, RankMismatchError, parse_poly, period_sequence,
                      power_coefficient)
-from lgforge.periods import _simplex_solve
+from lgforge.periods import _integral, _product_split, _simplex_solve, _summed_variable
 from lgforge.potentials import (del_pezzo_bl5, fano_hypersurface_quotient, hirzebruch_f2,
                                 product_of_lines, projective_space)
 
@@ -334,10 +340,11 @@ def test_products_match_the_oracle(case, up_to):
 @settings(max_examples=30)
 @given(near_products(), st.integers(0, 6))
 def test_near_products_fall_through_to_the_kernel(case, up_to):
-    kernel = lgforge.periods._half_powers
-    with mock.patch.object(lgforge.periods, "_half_powers", wraps=kernel) as spy:
-        check_split(*case, up_to)
-    assert spy.called
+    n, terms = case
+    check_split(n, terms, up_to)
+    g, _ = _integral(LaurentPoly(n, terms))
+    # the sum rule takes the constant term before the product rule looks
+    assert _product_split({e: c for e, c in g.items() if any(e)}, n) is None
 
 
 class ReachedKernel(Exception):
@@ -359,9 +366,78 @@ def test_split_potentials_never_reach_the_kernel(monkeypatch, f, expected):
     assert list(period_sequence(f, 40).coeffs) == [expected(k) for k in range(41)]
 
 
-@pytest.mark.parametrize("f", [hirzebruch_f2(), fano_hypersurface_quotient(3, 3)],
-                         ids=["F2", "X3_3"])
+@pytest.mark.parametrize("f", [parse_poly("x^2 + y^2 + x*y + 1/(x*y)", ["x", "y"]),
+                               fano_hypersurface_quotient(3, 3)],
+                         ids=["x2+y2+xy+1/xy", "X3_3"])
 def test_unsplit_potentials_reach_the_kernel(monkeypatch, f):
+    # X3_3 takes the trinomial step, but P*R = (1+y1+y2)^3/(y1*y2) reaches the kernel.
     monkeypatch.setattr(lgforge.periods, "_half_powers", no_kernel)
     with pytest.raises(ReachedKernel):
         period_sequence(f, 4)
+
+
+# ---------------------------------------------------------------------------
+# the trinomial step
+# ---------------------------------------------------------------------------
+
+@st.composite
+def trinomials(draw, near_miss=False):
+    """x*P + Q + R/x with x = x_0 and P, Q, R free of it, under a random chart.
+    P and R are nonzero, Q is empty half the time, and each may have a
+    constant term.  With ``near_miss`` one x^2 or x^-2 term joins them.
+    Returns the rank, the terms and x's place after the chart, which a marker
+    term x^7 shows and then leaves."""
+    n = draw(st.integers(2, 4))
+
+    def part(x_exponent, max_size=3):
+        exps = st.tuples(st.just(x_exponent), *[st.integers(-2, 2)] * (n - 1))
+        keys = draw(st.lists(exps, min_size=1, max_size=max_size, unique=True))
+        return {e: draw(coefficients) for e in keys}
+
+    terms = part(1) | part(-1)
+    if draw(st.booleans()):
+        terms |= part(0)
+    if near_miss:
+        terms |= part(draw(st.sampled_from((2, -2))), max_size=1)
+    terms[(7,) + (0,) * (n - 1)] = Fraction(1)
+    charted = in_random_chart(draw, terms, n)
+    marker = next(e for e in charted if 7 in map(abs, e))
+    del charted[marker]
+    return n, charted, next(i for i, x in enumerate(marker) if x)
+
+
+@settings(max_examples=120)
+@given(trinomials(), st.integers(0, 8))
+def test_trinomials_match_the_oracle(case, up_to):
+    n, terms, _ = case
+    assert _summed_variable(terms) is not None
+    check_split(n, terms, up_to)
+
+
+@settings(max_examples=40)
+@given(trinomials(near_miss=True), st.integers(0, 8))
+def test_near_trinomials_do_not_sum_out_x(case, up_to):
+    n, terms, x = case
+    assert _summed_variable(terms) != x
+    check_split(n, terms, up_to)
+
+
+@pytest.mark.parametrize("f, up_to", [
+    (fano_hypersurface_quotient(3, 3), 9),                       # Q empty
+    (fano_hypersurface_quotient(4, 3), 7),
+    (parse_poly("X + 2/Y + 2*Y + (1+Y)^4/(X*Y^2)", ["X", "Y"]), 11),  # the dP5 chain
+    (hirzebruch_f2(), 12),
+    # S = 2/y + 2z takes y only below 0, so the packing must bound S's negative side
+    (parse_poly("x + 2/(x*y) + 2*z/x + z^2 + 2/z^2 + 2/z", ["x", "y", "z"]), 8),
+], ids=["X3_3", "X4_3", "dP5_chain", "F2", "lopsided"])
+def test_trinomial_potentials_sum_out_a_variable(f, up_to):
+    g, _ = _integral(f)
+    x = _summed_variable(g)
+    assert x is not None
+    split = lgforge.periods._trinomial_split
+    kernel = lgforge.periods._half_powers
+    with mock.patch.object(lgforge.periods, "_trinomial_split", wraps=split) as step, \
+            mock.patch.object(lgforge.periods, "_half_powers", wraps=kernel) as spy:
+        check_split(f.rank, f.terms, up_to)
+    assert step.call_args_list[0].args == (g, x)
+    assert all(not e[x] for call in spy.call_args_list for e in call.args[0])
