@@ -31,7 +31,7 @@ _EXPORTS = {
                "MultiplicityError", "NotInSublatticeError", "NotLaurentError",
                "RankMismatchError", "ReferenceFormatError", "SequenceRangeError",
                "UnknownVariableError", "ZeroCoordinateError", "ZeroDenominatorError"),
-    "lattice": ("CharacterAction", "Sublattice", "hermite_column_basis", "invariant_sublattice",
+    "lattice": ("CharacterAction", "Sublattice", "invariant_sublattice",
                 "rewrite_in_sublattice", "solve_character"),
     "laurent": ("Exponent", "LaurentPoly", "RationalExpr", "divide_exact", "laurent_normalize"),
     "mutation": ("PeriodCompareReport", "Substitution", "apply_substitution",

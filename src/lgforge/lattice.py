@@ -2,11 +2,12 @@
 
 Everything here is exact and runs on Python integers, and one elimination,
 the row Hermite form, serves every routine: invariant sublattices,
-deck-character feasibility, basis equality and sublattice indices read it
-directly; sublattice coordinates come from the Hermite form of [A | I],
-which carries the transform.  The geometric purpose is rewriting
-deck-invariant Laurent polynomials in a basis of the invariant sublattice of
-a cyclic character action (the quotient-torus coordinate change).
+deck-character feasibility and sublattice indices read it directly;
+sublattice coordinates come from the Hermite form of [A | I], which carries
+the transform, and a basis override is checked by those coordinates.  The
+geometric purpose is rewriting deck-invariant Laurent polynomials in a basis
+of the invariant sublattice of a cyclic character action (the quotient-torus
+coordinate change).
 """
 
 from __future__ import annotations
@@ -78,23 +79,6 @@ def _hnf_rows(mat: Sequence[Sequence[int]]) -> list[list[int]]:
     return [row for row in rows[:r]]
 
 
-def _hnf_transform(a: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """(H, T) for an m x n matrix ``a``: T is unimodular and T a = H, the row
-    Hermite form of ``a`` padded with zero rows to m rows.
-
-    [a | I] has full row rank, so its Hermite form keeps all m rows, and it
-    is [H | T].
-    """
-    rows = _hnf_rows([list(row) + unit for row, unit in zip(a, identity(len(a)))])
-    return [row[:n] for row in rows], [row[n:] for row in rows]
-
-
-def hermite_column_basis(columns: Sequence[Sequence[int]]) -> Matrix:
-    """Canonical basis (as matrix columns) of the lattice spanned by ``columns``."""
-    reduced = _hnf_rows([list(c) for c in columns])
-    return _freeze(transpose(reduced))
-
-
 # ---------------------------------------------------------------------------
 # character actions and invariant sublattices
 # ---------------------------------------------------------------------------
@@ -117,14 +101,6 @@ class CharacterAction:
     @property
     def rank(self) -> int:
         return len(self.weights)
-
-    def pairing(self, e: Sequence[int]) -> int:
-        if len(e) != self.rank:
-            raise RankMismatchError(f"vector of length {len(e)} for rank {self.rank}")
-        return sum(w * x for w, x in zip(self.weights, e)) % self.modulus
-
-    def fixes(self, e: Sequence[int]) -> bool:
-        return self.pairing(e) == 0
 
 
 @record
@@ -165,21 +141,25 @@ class Sublattice:
             coords[i] = num // h[i][i]
         return tuple(coords)
 
-    def same_lattice(self, other: "Sublattice") -> bool:
-        return hermite_column_basis(self.columns) == hermite_column_basis(other.columns)
-
     def rebased(self, columns: Sequence[Sequence[int]]) -> "Sublattice":
-        """This lattice with ``columns`` as its basis; a ValueError unless they span it."""
+        """This lattice with ``columns`` as its basis; a ValueError unless they span it.
+
+        Full-rank lattices of equal index, one inside the other, are equal.
+        """
         other = Sublattice.from_columns(columns)
-        if not self.same_lattice(other):
+        if (other.ambient_rank != self.ambient_rank or other.index != self.index
+                or any(self.membership(c) is None for c in other.columns)):
             raise ValueError("basis columns do not span the sublattice")
         return other
 
 
 @lru_cache(maxsize=256)
 def _solve_data(basis: Matrix) -> tuple[list[list[int]], list[list[int]]]:
-    """(H, T) with T basis = H upper triangular, for solving basis @ c = e."""
-    return _hnf_transform(basis, len(basis))
+    """(H, T) with T basis = H upper triangular, for solving basis @ c = e:
+    [basis | I] has full row rank, so its Hermite form is [H | T]."""
+    n = len(basis)
+    rows = _hnf_rows([list(row) + unit for row, unit in zip(basis, identity(n))])
+    return [row[:n] for row in rows], [row[n:] for row in rows]
 
 
 def invariant_sublattice(action: CharacterAction) -> Sublattice:

@@ -137,6 +137,12 @@ def pull_back(f, matrix):
     return LaurentPoly(len(matrix), out)
 
 
+def fixes(action, e) -> bool:
+    """Whether the cyclic action (its ``weights`` and ``modulus``) fixes x^e:
+    w.e = 0 mod r."""
+    return sum(w * x for w, x in zip(action.weights, e, strict=True)) % action.modulus == 0
+
+
 # ---------------------------------------------------------------------------
 # random generators
 # ---------------------------------------------------------------------------

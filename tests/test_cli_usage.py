@@ -160,6 +160,9 @@ MALFORMED = [
                                "--basis", "1,1;1"], 2, ["--basis", "independent columns"]),
     ("quotient-basis-three-columns", ["quotient", *EXPR2, "--weights", "1,1", "-r", "2",
                                       "--basis", "1,1;1,-1;2,0"], 2, ["--basis"]),
+    ("quotient-basis-wrong-dimension", ["quotient", *EXPR2, "--weights", "1,1", "-r", "1",
+                                        "--basis", "1,0,0;0,1,0;0,0,1"],
+     2, ["--basis", "do not span"]),
     ("cover-basis-ragged", ["cover", "--spec", dict(COVER, basis=[[1, 1], [1]])],
      2, ["cover spec", "'basis'"]),
     ("cover-basis-dimension", ["cover", "--spec", dict(COVER, basis=[[1, 0], [0, 1]])],

@@ -22,6 +22,7 @@ from lgforge import (
     monotonicity_check,
     parse_poly,
     period_sequence,
+    power_coefficient,
     riemann_hurwitz_lift,
     split_potential,
     tangency_number,
@@ -162,7 +163,18 @@ def test_deck_invariance_of_upstairs():
     for spec in (stage1_spec(), *cases):
         res = build_cover_potential(spec)
         for e in res.upstairs_potential.support():
-            assert res.action.fixes(e)
+            assert oracles.fixes(res.action, e)
+
+
+@pytest.mark.parametrize("name, descendant", [
+    ("delpezzo_stage1", 0), ("delpezzo_stage2", 4), ("rank1_cover", 2),
+    ("tangency_spherical", 6)])
+def test_case_descendants_are_the_power_coefficient(name, descendant):
+    # each descendant in cases/ is c_r(W), the constant term of W^r
+    data = json.loads((CASES / f"{name}.json").read_text())
+    w = parse_poly(data["potential"], data["vars"])
+    assert Fraction(data["descendant"]) == descendant
+    assert power_coefficient(w, data["r"], (0,) * w.rank) == descendant
 
 
 @settings(max_examples=40)
@@ -185,7 +197,7 @@ def test_cover_pipeline_transported_by_unimodular_maps(seed):
     res1 = build_cover_potential(base)
     res2 = build_cover_potential(spec2)
     for e in res2.upstairs_potential.support():
-        assert res2.action.fixes(e)
+        assert oracles.fixes(res2.action, e)
     k = 6
     assert (period_sequence(res2.quotient_potential, k).coeffs
             == period_sequence(res1.quotient_potential, k).coeffs)

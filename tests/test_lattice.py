@@ -17,7 +17,7 @@ from lgforge import (
     rewrite_in_sublattice,
     solve_character,
 )
-from lgforge.lattice import hermite_column_basis, identity
+from lgforge.lattice import _hnf_rows, identity
 
 import oracles
 
@@ -57,16 +57,27 @@ def test_invariant_sublattice_properties(seed, n, r):
     action = CharacterAction(w, r)
     sub = invariant_sublattice(action)
     assert abs(oracles.mat_det(sub.basis)) == sub.index
-    assert sub.basis == hermite_column_basis(sub.columns)
+    # the basis is canonical: its columns are the lattice's Hermite rows
+    assert _hnf_rows(sub.columns) == [list(col) for col in sub.columns]
     for col in sub.columns:
-        assert action.fixes(col)
+        assert oracles.fixes(action, col)
     # any random invariant vector is a member
     for _ in range(5):
         e = [rng.randint(-6, 6) for _ in range(n)]
-        if action.fixes(e):
+        if oracles.fixes(action, e):
             assert sub.membership(e) is not None
         elif sub.membership(e) is not None:
             pytest.fail(f"non-invariant vector {e} accepted")
+    # any other basis of the lattice is accepted ...
+    other = oracles.mat_mul(sub.basis, oracles.random_unimodular(rng, n))
+    rebased = sub.rebased([list(col) for col in zip(*other)])
+    assert rebased.basis == tuple(map(tuple, other)) and rebased.index == sub.index
+    # ... and a lattice of the same index that is not this one is refused
+    for _ in range(5):
+        rival = invariant_sublattice(CharacterAction(tuple(rng.randrange(r) for _ in range(n)), r))
+        if rival.index == sub.index and any(sub.membership(c) is None for c in rival.columns):
+            with pytest.raises(ValueError, match="do not span"):
+                sub.rebased(rival.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +118,18 @@ def test_membership_on_random_bases(seed, n):
         assert sub.membership(e) == (tuple(int(x) for x in exact) if integral else None)
 
 
-def test_same_lattice():
+def test_rebased():
     sub = Sublattice.from_columns([(2, 0), (0, 1)])
-    assert sub.same_lattice(Sublattice.from_columns([(2, 1), (0, 1)]))
+    assert sub.rebased([(2, 1), (0, 1)]).columns == ((2, 1), (0, 1))
     # same index, different lattice
-    assert not sub.same_lattice(Sublattice.from_columns([(1, 0), (0, 2)]))
-    # different ambient rank
-    assert not Sublattice.from_columns(identity(2)).same_lattice(
-        Sublattice.from_columns(identity(3)))
+    with pytest.raises(ValueError, match="do not span"):
+        sub.rebased([(1, 0), (0, 2)])
+    # inside the lattice, but of index 4
+    with pytest.raises(ValueError, match="do not span"):
+        sub.rebased([(4, 0), (0, 1)])
+    # same index, different ambient rank
+    with pytest.raises(ValueError, match="do not span"):
+        Sublattice.from_columns(identity(2)).rebased(identity(3))
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +183,9 @@ def test_rewrite_round_trip(seed):
 # ---------------------------------------------------------------------------
 
 def test_hermite_basis_is_deterministic_for_equivalent_generators():
-    a = hermite_column_basis([(2, 0), (1, 1)])
-    b = hermite_column_basis([(1, 1), (-1, 1), (3, 1)])
-    assert a == b  # both generate {e1 + e2 even}
+    a = _hnf_rows([(2, 0), (1, 1)])
+    b = _hnf_rows([(1, 1), (-1, 1), (3, 1)])
+    assert a == b == [[1, 1], [0, 2]]  # both generate {e1 + e2 even}
 
 
 def _minors(rows, k):
@@ -190,8 +205,7 @@ def test_hermite_column_basis_on_random_generators(seed, n, m, rank):
     x = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
     y = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
     gens = oracles.mat_mul(x, y) if k else [[0] * n for _ in range(m)]
-    basis = hermite_column_basis(gens)
-    h = [list(col) for col in zip(*basis)]  # the Hermite rows
+    h = _hnf_rows(gens)
     # echelon form: pivots move right, are positive, and reduce what is above them
     pivots = [next(j for j, v in enumerate(row) if v) for row in h]
     assert pivots == sorted(set(pivots))
@@ -212,7 +226,7 @@ def test_hermite_column_basis_on_random_generators(seed, n, m, rank):
     if r == n:
         assert math.prod(row[p] for row, p in zip(h, pivots)) == math.gcd(*_minors(gens, n))
     rng.shuffle(gens)
-    assert hermite_column_basis(gens) == basis
+    assert _hnf_rows(gens) == h
 
 
 def test_solve_character_examples():
