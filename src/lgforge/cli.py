@@ -73,6 +73,11 @@ def _complex_json(z: complex) -> dict:
     return {"im": z.imag, "re": z.real}
 
 
+def _rounded_json(z: complex) -> dict:
+    """``_complex_json`` at the 10 significant digits ``_complex_text`` prints."""
+    return _complex_json(complex(float(f"{z.real:.10g}"), float(f"{z.imag:.10g}")))
+
+
 def _complex_text(z: complex) -> str:
     return f"{z.real:.10g}{z.imag:+.10g}j"
 
@@ -303,15 +308,15 @@ def _cmd_crit(args):
         "degenerate_input": search.degenerate_input,
         "points": [
             {
-                "coords": [_complex_json(z) for z in p.coords],
-                "log_hessian_det": _complex_json(p.log_hessian_det),
+                "coords": [_rounded_json(z) for z in p.coords],
+                "log_hessian_det": _rounded_json(p.log_hessian_det),
                 "nondegenerate": p.nondegenerate,
-                "residual": p.residual,
-                "value": _complex_json(p.value),
+                "residual": float(f"{p.residual:.10g}"),
+                "value": _rounded_json(p.value),
             }
             for p in search.points
         ],
-        "values": [{"multiplicity": m, "value": _complex_json(v)} for v, m in values.values],
+        "values": [{"multiplicity": m, "value": _rounded_json(v)} for v, m in values.values],
     }
     lines = []
     if search.degenerate_input:

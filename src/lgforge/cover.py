@@ -92,7 +92,7 @@ def derive_action(f: LaurentPoly, functional: DivisorFunctional, r: int) -> Char
     functional.validate_on(f)
     support = f.support()
     targets = [int(functional.degree(e)) for e in support]
-    w = solve_character(support, targets, r)
+    w = solve_character(support, targets, r) if support else (0,) * f.rank
     return CharacterAction(w, r)
 
 

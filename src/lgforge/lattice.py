@@ -1,13 +1,14 @@
 """Hermite forms and finite-index sublattices of Z^n.
 
 Everything here is exact and runs on Python integers, and one elimination,
-the row Hermite form, serves every routine: invariant sublattices,
-deck-character feasibility and sublattice indices read it directly;
-sublattice coordinates come from the Hermite form of [A | I], which carries
-the transform, and a basis override is checked by those coordinates.  The
-geometric purpose is rewriting deck-invariant Laurent polynomials in a basis
-of the invariant sublattice of a cyclic character action (the quotient-torus
-coordinate change).
+the row Hermite form, serves every routine.  Sublattice indices read it
+directly; the other questions read the form of a graph lattice
+{(A w + r z, w)}: invariant sublattices are its kernel rows, and deck
+characters and sublattice coordinates come from reducing a vector against it
+(a basis override is checked by those coordinates).  The geometric purpose
+is rewriting deck-invariant Laurent polynomials in a basis of the invariant
+sublattice of a cyclic character action (the quotient-torus coordinate
+change).
 """
 
 from __future__ import annotations
@@ -79,6 +80,30 @@ def _hnf_rows(mat: Sequence[Sequence[int]]) -> list[list[int]]:
     return [row for row in rows[:r]]
 
 
+@lru_cache(maxsize=256)
+def _graph_form(a: Matrix, r: int) -> Matrix:
+    """Hermite rows of the graph lattice {(a @ w + r z, w)}, a m x n, z in Z^m
+    (no z when r = 0).  When a @ Z^n + r Z^m has rank m, the first m rows
+    pivot on the diagonal; the rest are the kernel {(0, w) : a @ w = 0 mod r}."""
+    m, n = len(a), len(a[0]) if a else 0
+    gens = [[row[j] for row in a] + unit for j, unit in enumerate(identity(n))]
+    if r:
+        gens += [[r * x for x in unit] + [0] * n for unit in identity(m)]
+    return _freeze(_hnf_rows(gens))
+
+
+def _preimage(form: Matrix, t: Sequence[int], n: int) -> list[int] | None:
+    """Some w in Z^n with (t, w) in the graph lattice of ``form``, or None:
+    reducing (t, 0) by the first len(t) rows leaves (0, -w) or a remainder."""
+    v = list(t) + [0] * n
+    for i, row in enumerate(form[:len(t)]):
+        q, rem = divmod(v[i], row[i])
+        if rem:
+            return None
+        v = [x - q * y for x, y in zip(v, row)]
+    return [-x for x in v[len(t):]]
+
+
 # ---------------------------------------------------------------------------
 # character actions and invariant sublattices
 # ---------------------------------------------------------------------------
@@ -131,15 +156,8 @@ class Sublattice:
         if len(e) != self.ambient_rank:
             raise RankMismatchError(
                 f"vector of length {len(e)} in ambient rank {self.ambient_rank}")
-        h, t = _solve_data(self.basis)
-        coords = [0] * self.ambient_rank
-        for i in reversed(range(self.ambient_rank)):  # back-substitute H c = T e
-            num = sum(a * x for a, x in zip(t[i], e)) - sum(
-                a * c for a, c in zip(h[i], coords))  # coords[:i + 1] are still 0
-            if num % h[i][i] != 0:
-                return None
-            coords[i] = num // h[i][i]
-        return tuple(coords)
+        coords = _preimage(_graph_form(self.basis, 0), e, self.ambient_rank)
+        return None if coords is None else tuple(coords)
 
     def rebased(self, columns: Sequence[Sequence[int]]) -> "Sublattice":
         """This lattice with ``columns`` as its basis; a ValueError unless they span it.
@@ -153,15 +171,6 @@ class Sublattice:
         return other
 
 
-@lru_cache(maxsize=256)
-def _solve_data(basis: Matrix) -> tuple[list[list[int]], list[list[int]]]:
-    """(H, T) with T basis = H upper triangular, for solving basis @ c = e:
-    [basis | I] has full row rank, so its Hermite form is [H | T]."""
-    n = len(basis)
-    rows = _hnf_rows([list(row) + unit for row, unit in zip(basis, identity(n))])
-    return [row[:n] for row in rows], [row[n:] for row in rows]
-
-
 def invariant_sublattice(action: CharacterAction) -> Sublattice:
     """The kernel lattice {e : w.e = 0 mod r}, with a canonical Hermite basis.
 
@@ -172,11 +181,9 @@ def invariant_sublattice(action: CharacterAction) -> Sublattice:
     r = action.modulus
     if n == 0:
         raise ValueError("character action needs at least one weight")
-    # The rows (w_i, unit_i) and (r, 0, ..., 0) span {(w.e + rk, e)}.  Below
-    # its first row, the Hermite form of that lattice is the kernel, already
+    # Below its first row, the form of {(w.e + rk, e)} is the kernel, already
     # in canonical form.
-    rows = [[w] + unit for w, unit in zip(action.weights, identity(n))] + [[r] + [0] * n]
-    kernel = [row[1:] for row in _hnf_rows(rows)[1:]]
+    kernel = [row[1:] for row in _graph_form((action.weights,), r)[1:]]
     return Sublattice(n, _freeze(transpose(kernel)), r // gcd(r, *action.weights))
 
 
@@ -205,36 +212,26 @@ def rewrite_in_sublattice(f: LaurentPoly, s: Sublattice,
 def solve_character(exponents: Sequence[Sequence[int]], targets: Sequence[int], r: int) -> tuple[int, ...]:
     """Lexicographically smallest w in [0, r)^n with w.e = t_e (mod r) for all e.
 
-    Coordinates are fixed greedily.  E w = t (mod r) is solvable iff t lies in
-    the lattice spanned by the columns of E and r Z^m, which holds iff adding
-    t leaves that lattice's Hermite form unchanged; so no enumeration of the
-    full solution space happens.
+    Reducing (t, 0) by the Hermite form of the graph lattice {(E w + r z, w)}
+    gives one solution or shows there is none.  Every solution differs from
+    it by a kernel vector, and reducing it by the kernel rows, one coordinate
+    at a time, makes each coordinate the least residue modulo its pivot, a
+    divisor of r: the least choice given the coordinates before it.
     """
-    rows = [list(map(int, e)) for e in exponents]
+    rows = _freeze(exponents)
     t = [int(x) % r for x in targets]
     if len(rows) != len(t):
         raise RankMismatchError("one target per exponent is required")
     n = len(rows[0]) if rows else 0
     if any(len(row) != n for row in rows):
         raise RankMismatchError("exponents of unequal length")
-    moduli = [[r * x for x in unit] for unit in identity(len(t))]
-
-    def span(k: int) -> list[list[int]]:  # columns k, k+1, ... of E, and r Z^m
-        return _hnf_rows(transpose([row[k:] for row in rows]) + moduli)
-
-    lattice = span(0)
-    if _hnf_rows(lattice + [t]) != lattice:
+    form = _graph_form(rows, r)
+    w = _preimage(form, t, n)
+    if w is None:
         raise CharacterSolveError(
             "no character reproduces the divisor degrees modulo the cover degree")
-    w: list[int] = []
-    for k in range(n):
-        lattice = span(k + 1)
-        for v in range(r):
-            t_next = [(ti - v * row[k]) % r for ti, row in zip(t, rows)]
-            if _hnf_rows(lattice + [t_next]) == lattice:
-                w.append(v)
-                t = t_next
-                break
-        else:  # pragma: no cover - guarded by the up-front consistency check
-            raise CharacterSolveError("internal inconsistency while fixing coordinates")
+    m = len(t)
+    for j, row in enumerate(form[m:]):
+        q = w[j] // row[m + j]
+        w = [x - q * y for x, y in zip(w, row[m:])]
     return tuple(w)

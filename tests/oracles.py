@@ -116,6 +116,22 @@ def hypersurface_period(n: int, d: int, k: int) -> int:
     return factorial(e * m) * factorial(d * m) // factorial(m) ** (n + 2)
 
 
+def weighted_hypersurface_period(n: int, r: int, m: int, k: int) -> int:
+    """c_k of X = {w^r = F_{rm}(x)} in P(1^(n+1), m), the r-fold cover of P^n
+    branched along a degree-rm hypersurface, by Givental's mirror theorem.
+
+    Index i = n+1+m-rm >= 2: c_{iD} = (iD)! (rmD)! / ((D!)^(n+1) (mD)!), and 0
+    off the multiples of i.  At m = 1 this is ``hypersurface_period(n, r, k)``.
+    """
+    i = n + 1 + m - r * m
+    if i < 2:
+        raise ValueError(f"index {i} needs the e^(-at) correction")
+    if k % i:
+        return 0
+    D = k // i
+    return factorial(i * D) * factorial(r * m * D) // (factorial(D) ** (n + 1) * factorial(m * D))
+
+
 # ---------------------------------------------------------------------------
 # monomial charts
 # ---------------------------------------------------------------------------

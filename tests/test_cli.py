@@ -40,6 +40,20 @@ def test_golden(entry, capsys):
     assert out == golden
 
 
+@pytest.mark.parametrize("entry", [e for e in MANIFEST if e["argv"][0] == "crit"],
+                         ids=lambda e: e["name"])
+def test_crit_golden_floats_carry_the_ten_digits_the_text_prints(entry):
+    floats = []
+
+    def keep(text):
+        floats.append(float(text))
+        return floats[-1]
+
+    json.loads((ROOT / "cases" / "golden" / f"{entry['name']}.json").read_text(), parse_float=keep)
+    assert floats
+    assert [x for x in floats if x != float(f"{x:.10g}")] == []
+
+
 def test_same_seed_byte_identical(capsys):
     argv = ["crit", "--expr", "x + (1+y)^2/(x*y)", "--vars", "x,y",
             "--seed", "3", "--starts", "40", "--format", "json"]
@@ -655,6 +669,21 @@ def test_a_reference_too_large_for_memory_is_an_error_not_a_traceback(tmp_path):
                       "check-weak-lg", "--expr", "x+1/x", "--vars", "x", "-K", "2",
                       "--reference", str(ref)], child_env())
     assert (proc.returncode, proc.stderr) == (1, b"lgforge: out of memory\n")
+
+
+def test_a_cover_of_degree_ten_to_the_twelve_solves_its_character(tmp_path):
+    # the character is read off one Hermite form, in time that does not grow with r
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({
+        "potential": "1/x + y",
+        "vars": ["x", "y"],
+        "functional": {"linear": ["-1", "0"], "constant": "0"},
+        "r": 10 ** 12,
+        "descendant": "0",
+    }))
+    proc = run_child(["-m", "lgforge", "cover", "--spec", str(spec)], child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert b"weights (999999999999, 0) mod 1000000000000" in proc.stdout
 
 
 # Runs every non-crit golden command through lgforge.cli.main in a fresh

@@ -27,7 +27,7 @@ from lgforge import (
     split_potential,
     tangency_number,
 )
-from lgforge.potentials import fano_hypersurface_quotient
+from lgforge.potentials import fano_hypersurface_quotient, projective_space
 import oracles
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -81,6 +81,8 @@ def test_derive_action_trivial():
     fun = DivisorFunctional((Fraction(0), Fraction(0)), Fraction(0))
     f = parse_poly("x + y", ["x", "y"])
     assert derive_action(f, fun, 3).weights == (0, 0)
+    # the zero potential has no support to read the rank from
+    assert derive_action(parse_poly("x - x", ["x", "y"]), fun, 3).weights == (0, 0)
 
 
 def test_derive_action_stage_two():
@@ -227,6 +229,28 @@ def test_hypersurface_family_against_the_oracles(n, d):
     for bad in (0, n + 2):
         with pytest.raises(ValueError):
             fano_hypersurface_quotient(n, bad)
+
+
+# (n, r, m, K): the r-fold covers of P^n branched in degree rm, with K sized
+# so that each case stays under about 50 ms.
+WEIGHTED_COVERS = [
+    (2, 2, 1, 29), (3, 2, 1, 29), (3, 2, 2, 29), (3, 3, 1, 29), (4, 2, 2, 25), (4, 4, 1, 11),
+    (5, 2, 2, 18), (5, 2, 3, 12), (5, 3, 2, 8), (6, 2, 3, 12), (7, 2, 4, 8), (8, 3, 3, 4),
+]
+
+
+@pytest.mark.parametrize("n, r, m, up_to", WEIGHTED_COVERS)
+def test_weighted_hypersurface_covers_against_the_closed_form(n, r, m, up_to):
+    # The functional is 1 on the last rm monomials of P^n and 0 on the rest;
+    # the quotient keeps the canonical Hermite basis.
+    base = projective_space(n)
+    c = Fraction(r * m, n + 1)
+    off = n - r * m + 1  # coordinates off the branch divisor
+    functional = DivisorFunctional([-c] * off + [1 - c] * (n - off), c)
+    spec = CoverSpec(base, functional, r, power_coefficient(base, r, (0,) * n))
+    f = build_cover_potential(spec).quotient_potential
+    assert list(period_sequence(f, up_to).coeffs) == [
+        oracles.weighted_hypersurface_period(n, r, m, k) for k in range(up_to + 1)]
 
 
 # ---------------------------------------------------------------------------
