@@ -34,10 +34,10 @@ _EXPORTS = {
     "lattice": ("CharacterAction", "Sublattice", "invariant_sublattice",
                 "rewrite_in_sublattice", "solve_character"),
     "laurent": ("Exponent", "LaurentPoly", "RationalExpr", "divide_exact", "laurent_normalize"),
-    "mutation": ("PeriodCompareReport", "Substitution", "apply_substitution",
-                 "check_period_invariance", "substitution_from_dict"),
+    "mutation": ("Substitution", "apply_substitution", "check_period_invariance",
+                 "substitution_from_dict"),
     "parsing": ("parse", "parse_poly"),
-    "periods": ("PeriodSequence", "WeakLGReport", "ingest_reference", "is_weak_lg",
+    "periods": ("ComparisonReport", "PeriodSequence", "ingest_reference", "is_weak_lg",
                 "period_sequence", "power_coefficient"),
 }
 _LAYERS = frozenset(_EXPORTS) | {"potentials"}

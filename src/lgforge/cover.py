@@ -30,6 +30,8 @@ from .errors import (
 from .lattice import CharacterAction, Sublattice, invariant_sublattice, \
     rewrite_in_sublattice, solve_character
 from .laurent import Exponent, LaurentPoly
+from .parsing import (parse_poly, spec_field, spec_fraction, spec_int, spec_list, spec_names,
+                      spec_object, spec_str)
 from .periods import power_coefficient
 
 
@@ -56,28 +58,27 @@ class DivisorFunctional:
     def rank(self) -> int:
         return len(self.linear)
 
-    def degree(self, e: Sequence[int]) -> Fraction:
-        if len(e) != self.rank:
-            raise RankMismatchError(f"vector of length {len(e)} for rank {self.rank}")
-        return sum(a * x for a, x in zip(self.linear, e)) + self.constant
-
-    def validate_on(self, f: LaurentPoly) -> None:
+    def degrees(self, f: LaurentPoly) -> dict[Exponent, int]:
+        """The value, 0 or 1, on each exponent of ``f`` in support order; any other
+        values are listed by InvalidFunctionalError."""
         if f.rank != self.rank:
             raise RankMismatchError(f"potential rank {f.rank} vs functional rank {self.rank}")
-        offenders = [(e, self.degree(e)) for e in f.support()
-                     if self.degree(e) not in (0, 1)]
+        values = {e: sum(a * x for a, x in zip(self.linear, e)) + self.constant
+                  for e in f.support()}
+        offenders = [(e, d) for e, d in values.items() if d not in (0, 1)]
         if offenders:
             raise InvalidFunctionalError(offenders)
+        return {e: int(d) for e, d in values.items()}
 
 
 def split_potential(f: LaurentPoly, functional: DivisorFunctional
                     ) -> tuple[LaurentPoly, LaurentPoly]:
     """Split ``f`` into (misses the divisor, crosses it once) by functional value."""
-    functional.validate_on(f)
+    degrees = functional.degrees(f)
     comp: dict[Exponent, Fraction] = {}
     div: dict[Exponent, Fraction] = {}
     for e, c in f.terms.items():
-        (comp if functional.degree(e) == 0 else div)[e] = c
+        (div if degrees[e] else comp)[e] = c
     return (LaurentPoly(f.rank, comp, f.varnames),
             LaurentPoly(f.rank, div, f.varnames))
 
@@ -89,10 +90,8 @@ def derive_action(f: LaurentPoly, functional: DivisorFunctional, r: int) -> Char
     reduced solution is returned; any valid solution fixes the same monomials
     of the cover potential.
     """
-    functional.validate_on(f)
-    support = f.support()
-    targets = [int(functional.degree(e)) for e in support]
-    w = solve_character(support, targets, r) if support else (0,) * f.rank
+    degrees = functional.degrees(f)
+    w = solve_character(list(degrees), list(degrees.values()), r) if degrees else (0,) * f.rank
     return CharacterAction(w, r)
 
 
@@ -119,7 +118,7 @@ class CoverSpec:
     def __post_init__(self):
         cover_degree(self.r)
         object.__setattr__(self, "descendant", Fraction(self.descendant))
-        self.functional.validate_on(self.potential)
+        self.functional.degrees(self.potential)
 
 
 @record
@@ -133,22 +132,22 @@ class CoverResult:
 def build_cover_potential(spec: CoverSpec, *,
                           basis: Sequence[Sequence[int]] | None = None,
                           quotient_varnames: Sequence[str] | None = None) -> CoverResult:
-    """Run one cover step: split, raise the divisor part, derive the character,
-    and rewrite on the invariant sublattice.
+    """Run one cover step: derive the character and its invariant sublattice,
+    split, raise the divisor part, and rewrite on the sublattice.
 
-    ``basis`` optionally overrides the canonical Hermite basis with explicit
-    columns spanning the same sublattice (handy for matching a published
-    coordinate choice); the override is validated against the derived lattice.
+    ``basis`` optionally overrides the canonical Hermite basis with columns
+    spanning the same sublattice (to match a published coordinate choice);
+    ``Sublattice.rebased`` checks it, before the costly r-th power.
     """
-    comp, div = split_potential(spec.potential, spec.functional)
-    upstairs = comp + div ** spec.r - spec.descendant
     action = derive_action(spec.potential, spec.functional, spec.r)
     lattice = invariant_sublattice(action)
     if basis is not None:
-        try:  # columns that do not span the derived lattice
+        try:  # dependent columns, or columns that do not span the derived lattice
             lattice = lattice.rebased(basis)
         except ValueError as exc:
             raise ValueError(f"cover spec: bad value for 'basis': {exc}") from None
+    comp, div = split_potential(spec.potential, spec.functional)
+    upstairs = comp + div ** spec.r - spec.descendant
     quotient = rewrite_in_sublattice(upstairs, lattice, varnames=quotient_varnames)
     return CoverResult(upstairs, action, quotient, lattice)
 
@@ -310,11 +309,10 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
          "basis": [[...], ...],          # optional, columns
          "quotient_vars": [...]}         # optional
 
-    A missing or malformed key raises ValueError naming it.
+    A missing or malformed key raises ValueError naming it.  Only the shape of
+    ``basis`` is read here; ``build_cover_potential`` checks that the columns
+    span the invariant lattice, and names the key when they do not.
     """
-    from .parsing import (parse_poly, spec_field, spec_fraction, spec_int, spec_list,
-                          spec_names, spec_object, spec_str)
-
     where = "cover spec"
     varnames = spec_field(data, "vars", spec_names(), where)
     potential = parse_poly(spec_field(data, "potential", spec_str, where), varnames)
@@ -327,14 +325,8 @@ def cover_spec_from_dict(data: dict) -> tuple[CoverSpec, list[list[int]] | None,
     r = spec_field(data, "r", lambda value: cover_degree(spec_int(value)), where)
     descendant = spec_field(data, "descendant", spec_fraction, where)
     spec = CoverSpec(potential, functional, r, descendant)
-
-    def basis_columns(value) -> list[list[int]]:
-        n = len(varnames)
-        columns = spec_list(spec_list(spec_int, n), n)(value)
-        Sublattice.from_columns(columns)  # a dependent basis fails here, naming its key
-        return columns
-
-    basis = spec_field(data, "basis", basis_columns, where, None)
-    qvars = spec_field(data, "quotient_vars", spec_names(len(varnames)), where, None)
+    n = len(varnames)
+    basis = spec_field(data, "basis", spec_list(spec_list(spec_int, n), n), where, None)
+    qvars = spec_field(data, "quotient_vars", spec_names(n), where, None)
     return spec, basis, qvars
 

@@ -131,7 +131,11 @@ def critical_points(f: LaurentPoly, opts: SolverOptions = SolverOptions()) -> Cr
     if all(g.is_zero() for g in grads):
         return CriticalSearch((), degenerate_input=True)
     items = sorted(f.terms.items())
-    exps = np.array([e for e, _ in items], dtype=np.int64)
+    try:
+        exps = np.array([e for e, _ in items], dtype=np.int64)
+    except OverflowError:
+        e = next(e for e, _ in items if not all(-2 ** 63 <= x < 2 ** 63 for x in e))
+        raise FloatRangeError(f"exponent {e} is outside the int64 range") from None
     # theta_i f and theta_j theta_i f weight the term c x^e by e_i and e_i e_j;
     # the Hessian is symmetric, so only the entries with i <= j are evaluated
     grad = [_entry(items, lambda e, i=i: e[i]) for i in range(n)]

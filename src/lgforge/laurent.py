@@ -2,8 +2,8 @@
 
 A polynomial is a finite map from integer exponent vectors (tuples of length
 ``rank``) to arbitrary-precision rationals.  Values are immutable and kept in
-canonical form: zero coefficients are never stored, so equality is structural
-and hashing is cheap.  Floating point enters only through :meth:`LaurentPoly.evaluate`.
+canonical form: zero coefficients are never stored, so equality and hashing
+are structural.  Floating point enters only through :meth:`LaurentPoly.evaluate`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class LaurentPoly:
     ``varnames`` are display names only; they never affect equality.
     """
 
-    __slots__ = ("rank", "varnames", "_terms", "_hash")
+    __slots__ = ("rank", "varnames", "_terms")
 
     def __init__(self, rank: int, terms: Mapping[Exponent, Fraction | int] | None = None,
                  varnames: Sequence[str] | None = None):
@@ -73,7 +73,6 @@ class LaurentPoly:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "varnames", names)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -119,11 +118,7 @@ class LaurentPoly:
         return self.rank == other.rank and self._terms == other._terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.rank, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.rank, frozenset(self._terms.items())))
 
     def _check_rank(self, other: "LaurentPoly") -> None:
         if self.rank != other.rank:

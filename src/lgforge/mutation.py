@@ -11,7 +11,8 @@ from __future__ import annotations
 from ._record import record
 from .errors import RankMismatchError, ZeroDenominatorError
 from .laurent import LaurentPoly, RationalExpr, laurent_normalize
-from .periods import period_sequence
+from .parsing import parse, spec_field, spec_list, spec_names, spec_str
+from .periods import ComparisonReport, period_sequence
 
 
 @record
@@ -58,13 +59,7 @@ class PeriodCompareRow:
     match: bool
 
 
-@record
-class PeriodCompareReport:
-    rows: tuple[PeriodCompareRow, ...]
-    passed: bool
-
-
-def check_period_invariance(f: LaurentPoly, g: LaurentPoly, up_to: int) -> PeriodCompareReport:
+def check_period_invariance(f: LaurentPoly, g: LaurentPoly, up_to: int) -> ComparisonReport:
     """Compare constant terms of powers of two polynomials up to a bound."""
     if f.rank != g.rank:
         raise RankMismatchError(f"rank {f.rank} vs rank {g.rank}")
@@ -72,7 +67,7 @@ def check_period_invariance(f: LaurentPoly, g: LaurentPoly, up_to: int) -> Perio
     right = period_sequence(g, up_to)
     rows = tuple(PeriodCompareRow(k, a, b, a == b)
                  for k, (a, b) in enumerate(zip(left.coeffs, right.coeffs)))
-    return PeriodCompareReport(rows, all(r.match for r in rows))
+    return ComparisonReport(rows, all(r.match for r in rows))
 
 
 def substitution_from_dict(data: dict) -> Substitution:
@@ -80,8 +75,6 @@ def substitution_from_dict(data: dict) -> Substitution:
 
     A missing or malformed key raises ValueError naming it.
     """
-    from .parsing import parse, spec_field, spec_list, spec_names, spec_str
-
     varnames = spec_field(data, "vars", spec_names(), "substitution")
     texts = spec_field(data, "images", spec_list(spec_str, len(varnames)), "substitution")
     return Substitution(tuple(parse(text, varnames) for text in texts))

@@ -398,13 +398,16 @@ class WeakLGRow:
 
 
 @record
-class WeakLGReport:
-    rows: tuple[WeakLGRow, ...]
-    passed: bool
+class ComparisonReport:
+    """Two sequences compared row by row: ``is_weak_lg``'s ``WeakLGRow`` rows or
+    ``check_period_invariance``'s ``PeriodCompareRow`` rows."""
+
+    rows: tuple
+    passed: bool  # every row matches
 
 
 def is_weak_lg(f: LaurentPoly, reference: PeriodSequence, up_to: int,
-               k_min: int = 2) -> WeakLGReport:
+               k_min: int = 2) -> ComparisonReport:
     """Compare constant terms of powers of ``f`` against a reference sequence.
 
     Mismatches are reported row by row, not raised; the overall flag is true
@@ -419,7 +422,7 @@ def is_weak_lg(f: LaurentPoly, reference: PeriodSequence, up_to: int,
     computed = period_sequence(f, up_to).coeffs
     rows = tuple(WeakLGRow(k, computed[k], ref, computed[k] == ref)
                  for k, ref in enumerate(reference.coeffs[k_min:up_to + 1], start=k_min))
-    return WeakLGReport(rows, all(r.match for r in rows))
+    return ComparisonReport(rows, all(r.match for r in rows))
 
 
 # ---------------------------------------------------------------------------

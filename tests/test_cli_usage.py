@@ -169,6 +169,8 @@ MALFORMED = [
      2, ["cover spec", "'basis'", "expected 1 values"]),
     ("cover-basis-not-spanning", ["cover", "--spec", dict(COVER, basis=[[1]])],
      2, ["cover spec", "'basis'", "do not span"]),
+    ("cover-basis-dependent", ["cover", "--spec", dict(COVER, basis=[[0]])],
+     2, ["cover spec", "'basis'", "linearly dependent"]),
     ("sub-vars-count", ["mutate", *EXPR, "--sub", {"vars": ["x", "y"], "images": ["y", "x"]}],
      2, ["{tmp}/input6.json", "'vars'", "expected 1 values"]),
     ("quotient-weights-length", ["quotient", *EXPR2, "--weights", "1", "-r", "2"],
@@ -300,6 +302,8 @@ MALFORMED = [
                                     "--point", "1"], 1, ["outside the float range"]),
     ("crit-coefficient-overflows", ["crit", "--expr", "10^400*x+1/x", "--vars", "x",
                                     "--starts", "3"], 1, ["coefficient", "outside the float range"]),
+    ("crit-exponent-overflows", ["crit", "--expr", "x+y^99999999999999999999", "--vars", "x,y",
+                                 "--starts", "2"], 1, ["exponent", "99999999999999999999"]),
     ("eval-negative-power-underflows", ["eval", "--expr", "x^-2", "--vars", "x",
                                         "--point", "1e-200"], 1, ["outside the float range"]),
     ("eval-json-infinity", ["eval", "--expr", "x*y", "--vars", "x,y", "--point", "1e200,1e200",

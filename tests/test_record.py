@@ -13,13 +13,12 @@ import pytest
 
 from lgforge import (
     CharacterAction,
+    ComparisonReport,
     CoverSpec,
     DiscClass,
     DivisorFunctional,
-    PeriodCompareReport,
     PeriodSequence,
     SolverOptions,
-    WeakLGReport,
     _record,
     build_cover_potential,
     cover,
@@ -71,10 +70,9 @@ def samples() -> dict:
         "Sublattice": (2, ((1, 0), (1, 2)), 2),
         "Substitution": ((parse("x", ["x", "y"]), parse("y", ["x", "y"])),),
         "PeriodCompareRow": (2, Fraction(2), Fraction(2), True),
-        "PeriodCompareReport": ((PeriodCompareRow(0, 1, 1, True),), True),
         "PeriodSequence": ("p", [1, 0, Fraction(2)], "computed"),
         "WeakLGRow": (2, Fraction(2), Fraction(3), False),
-        "WeakLGReport": ((WeakLGRow(2, Fraction(2), Fraction(2), True),), True),
+        "ComparisonReport": ((WeakLGRow(2, Fraction(2), Fraction(2), True),), True),
         "RationalExpr": (expr.num, expr.den),
     }
 
@@ -100,7 +98,7 @@ def fields(cls) -> tuple:
 
 
 def test_every_record_class_has_a_sample():
-    assert len(RECORDS) == 21
+    assert len(RECORDS) == 20
     assert sorted(RECORDS) == sorted(SAMPLES)
 
 
@@ -186,6 +184,6 @@ def test_post_init_coerces_and_validates():
 
 def test_record_types_with_equal_fields_are_not_equal():
     rows = ((WeakLGRow(2, Fraction(2), Fraction(2), True),), True)
-    assert WeakLGReport(*rows) != PeriodCompareReport(*rows)
+    assert ComparisonReport(*rows) != cover.MaslovReport(*rows)
     assert WeakLGRow(2, 1, 1, True) != PeriodCompareRow(2, 1, 1, True)
 
